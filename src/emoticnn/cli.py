@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .corpus import (
@@ -44,22 +45,24 @@ __all__ = ["build_parser", "main"]
 
 _MODE_FLAGS = {"emoticon": MODE_EMOTICON_TEXT, "text-only": MODE_TEXT_ONLY}
 
+# Every run setting and its default: the TrainConfig fields (split_ratio
+# stays fixed), then the pipeline settings. A --config file may hold any
+# of these keys; a flag of the same name overrides it.
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "split_ratio")
 _DEFAULT_SETTINGS = {
-    "mode": "emoticon",
-    "batch_size": 32,
-    "epochs": 200,
-    "seed": 0,
+    **{key: getattr(TrainConfig, key) for key in _TRAIN_KEYS},
     "max_len": 64,
     "lexicon": None,
-    "lr": 0.001,
-    "rho": 0.9,
-    "epsilon": 1e-7,
-    "precision": "float64",
+    "precision": ModelConfig.precision,
 }
 
-# Keys accepted in a --config JSON file; explicit flags override them.
-_FLAG_KEYS = ("mode", "batch_size", "epochs", "seed", "max_len", "lexicon")
-_CONFIG_ONLY_KEYS = ("lr", "rho", "epsilon", "precision")
+# The JSON types a config value may take, keyed by the type of its default.
+_CONFIG_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    type(None): ((str, type(None)), "a string or null"),
+}
 
 
 def _synth_count(value: str) -> int:
@@ -72,16 +75,21 @@ def _synth_count(value: str) -> int:
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", required=True, help="dataset CSV with a text,label header")
     parser.add_argument("--out", required=True, help="output directory")
+    default_mode = next(flag for flag, mode in _MODE_FLAGS.items() if mode == _DEFAULT_SETTINGS["mode"])
     parser.add_argument(
         "--mode",
         choices=sorted(_MODE_FLAGS),
         default=None,
-        help="emoticon: replace emoji with phrases; text-only: delete them (default: emoticon)",
+        help=f"emoticon: replace emoji with phrases; text-only: delete them (default: {default_mode})",
     )
-    parser.add_argument("--batch-size", type=int, default=None, help="minibatch size (default: 32)")
-    parser.add_argument("--epochs", type=int, default=None, help="training epochs (default: 200)")
-    parser.add_argument("--seed", type=int, default=None, help="seed for split/init/shuffling (default: 0)")
-    parser.add_argument("--max-len", type=int, default=None, help="padded sequence length (default: 64)")
+    for key, text in (
+        ("batch_size", "minibatch size"),
+        ("epochs", "training epochs"),
+        ("seed", "seed for split/init/shuffling"),
+        ("max_len", "padded sequence length"),
+    ):
+        parser.add_argument("--" + key.replace("_", "-"), type=int, default=None,
+                            help=f"{text} (default: {_DEFAULT_SETTINGS[key]})")
     parser.add_argument("--lexicon", default=None, help="emoticon lexicon file (emoji<TAB>phrase per line)")
     parser.add_argument("--config", default=None, help="JSON settings file; explicit flags win")
 
@@ -134,10 +142,13 @@ def _load_config_file(path: str) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    allowed = set(_FLAG_KEYS) | set(_CONFIG_ONLY_KEYS)
-    unknown = sorted(set(data) - allowed)
+    unknown = sorted(set(data) - set(_DEFAULT_SETTINGS))
     if unknown:
         raise ValueError(f"config file {path} has unknown keys: {', '.join(unknown)}")
+    for key, value in data.items():
+        types, name = _CONFIG_TYPES[type(_DEFAULT_SETTINGS[key])]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"config file {path}: {key!r} must be {name}, got {value!r}")
     return data
 
 
@@ -146,8 +157,8 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     settings = dict(_DEFAULT_SETTINGS)
     config = _load_config_file(args.config) if args.config else {}
     settings.update(config)
-    for key in _FLAG_KEYS:
-        flag_value = getattr(args, key)
+    for key in _DEFAULT_SETTINGS:
+        flag_value = getattr(args, key, None)
         if flag_value is None:
             continue
         if key in config:
@@ -169,15 +180,7 @@ def _load_lexicon(settings: dict) -> EmoticonLexicon:
 
 
 def _train_config(settings: dict, mode: str) -> TrainConfig:
-    return TrainConfig(
-        batch_size=settings["batch_size"],
-        epochs=settings["epochs"],
-        seed=settings["seed"],
-        lr=settings["lr"],
-        rho=settings["rho"],
-        epsilon=settings["epsilon"],
-        mode=mode,
-    )
+    return TrainConfig(**{key: settings[key] for key in _TRAIN_KEYS} | {"mode": mode})
 
 
 def _write_history(history: History, path: Path) -> None:

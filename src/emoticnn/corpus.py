@@ -227,22 +227,32 @@ def preprocess(text: str, lexicon: EmoticonLexicon, mode: str) -> str:
 _CSV_HEADER = ["text", "label"]
 
 
+def _numbered_rows(fh):
+    """Yield (1-based row number, fields), turning csv.Error into CorpusError."""
+    rownum = 0
+    try:
+        for rownum, row in enumerate(csv.reader(fh), start=1):
+            yield rownum, row
+    except csv.Error as exc:
+        raise CorpusError(f"unreadable CSV at row {rownum + 1}: {exc}") from None
+
+
 def load_dataset(path) -> list[Tweet]:
     """Read a UTF-8 ``text,label`` CSV into Tweets, preserving row order.
 
     Raises CorpusError with the offending 1-based row number for a bad
-    header, a malformed row, or a label outside 1-4.
+    header, a row the CSV reader rejects, a malformed row, or a label
+    outside 1-4.
     """
     tweets: list[Tweet] = []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusError("empty file: missing 'text,label' header") from None
+        rows = _numbered_rows(fh)
+        _, header = next(rows, (1, None))
+        if header is None:
+            raise CorpusError("empty file: missing 'text,label' header")
         if header != _CSV_HEADER:
             raise CorpusError(f"bad header {header!r}: expected 'text,label'")
-        for rownum, row in enumerate(reader, start=2):
+        for rownum, row in rows:
             if len(row) != 2:
                 raise CorpusError(f"malformed row at row {rownum}: {row!r}")
             text, label_field = row

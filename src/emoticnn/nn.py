@@ -483,12 +483,10 @@ class RmsPropState:
     accumulators: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(
-        cls, params: dict[str, np.ndarray], lr: float = 0.001, rho: float = 0.9,
-        epsilon: float = 1e-7,
-    ) -> "RmsPropState":
+    def for_params(cls, params: dict[str, np.ndarray], **hyperparameters) -> "RmsPropState":
+        """Zeroed accumulators for params; lr, rho and epsilon pass through."""
         accumulators = {name: np.zeros_like(value) for name, value in params.items()}
-        return cls(lr=lr, rho=rho, epsilon=epsilon, accumulators=accumulators)
+        return cls(accumulators=accumulators, **hyperparameters)
 
 
 def rmsprop_step(

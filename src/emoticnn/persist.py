@@ -37,7 +37,6 @@ MANIFEST_NAME = "model.json"
 WEIGHTS_NAME = "weights.bin"
 
 _BLOB_DTYPES = {"float32": "<f4", "float64": "<f8"}
-_WIDTHS = {"float32": 4, "float64": 8}
 
 
 class PersistError(ValueError):
@@ -127,7 +126,8 @@ def load_model(model_dir) -> tuple[Model, Vocabulary, EmoticonLexicon, TrainConf
     if [name for name, _, _ in entries] != list(PARAM_NAMES):
         raise PersistError("layout parameter names are wrong or out of order")
     expected_shapes = model_cfg.param_shapes()
-    width = _WIDTHS[model_cfg.precision]
+    blob_dtype = _BLOB_DTYPES[model_cfg.precision]
+    width = np.dtype(blob_dtype).itemsize
     running_offset = 0
     for name, shape, offset in entries:
         if shape != expected_shapes[name]:
@@ -152,7 +152,6 @@ def load_model(model_dir) -> tuple[Model, Vocabulary, EmoticonLexicon, TrainConf
             f"the manifest expects {running_offset}"
         )
 
-    blob_dtype = _BLOB_DTYPES[model_cfg.precision]
     params: dict[str, np.ndarray] = {}
     for name, shape, offset in entries:
         count = int(np.prod(shape))

@@ -48,9 +48,9 @@ class TrainConfig:
     epochs: int = 200
     split_ratio: float = 0.75
     seed: int = 0
-    lr: float = 0.001
-    rho: float = 0.9
-    epsilon: float = 1e-7
+    lr: float = RmsPropState.lr
+    rho: float = RmsPropState.rho
+    epsilon: float = RmsPropState.epsilon
     mode: str = MODE_EMOTICON_TEXT
 
     def __post_init__(self) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -135,6 +136,18 @@ def test_train_missing_data_file_fails_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_unreadable_csv_fails_cleanly(trained_run, tmp_path, capsys, command):
+    data = tmp_path / "huge_field.csv"
+    data.write_text(f"text,label\nok,1\n{'x' * 140_000},2\n", encoding="utf-8")
+    if command == "train":
+        argv = quick_train_args(data, tmp_path / "out")
+    else:
+        argv = ["eval", "--model", str(trained_run), "--data", str(data), "--out", str(tmp_path)]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: unreadable CSV at row 3: ")
+
+
 def test_train_rejects_too_short_max_len(synth_csv, tmp_path, capsys):
     rc = cli_main(quick_train_args(synth_csv, tmp_path / "out", **{"max-len": 8}))
     assert rc == 1
@@ -201,6 +214,30 @@ def test_unknown_config_key_fails(synth_csv, tmp_path, capsys):
     )
     assert rc == 1
     assert "unknown keys: learning_rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("settings", "message"),
+    [
+        ({"epochs": "3"}, "'epochs' must be an integer, got '3'"),
+        ({"epochs": 2.5}, "'epochs' must be an integer, got 2.5"),
+        ({"seed": 1.5}, "'seed' must be an integer, got 1.5"),
+        ({"max_len": "x"}, "'max_len' must be an integer, got 'x'"),
+        ({"lr": "0.1"}, "'lr' must be a number, got '0.1'"),
+        ({"batch_size": None}, "'batch_size' must be an integer, got None"),
+        ({"lexicon": True}, "'lexicon' must be a string or null, got True"),
+        ({"lexicon": 0}, "'lexicon' must be a string or null, got 0"),
+    ],
+)
+def test_config_value_of_wrong_type_fails(synth_csv, tmp_path, capsys, settings, message):
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps(settings))
+    out = tmp_path / "run"
+    rc = cli_main(["train", "--data", str(synth_csv), "--out", str(out), "--config", str(config)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def test_non_object_config_fails(synth_csv, tmp_path, capsys):
@@ -337,6 +374,24 @@ def test_ablate_vocabularies_differ_only_by_lexicon_phrases(ablation_run):
     phrase_words = {word for _, phrase in lexicon.items() for word in phrase.split()}
     assert emo_words - text_words <= phrase_words
     assert text_words - emo_words == set()
+
+
+# ------------------------------------------------------ determinism
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    data = tmp_path / "data.csv"
+    assert cli_main(["synth", "--n", "40", "--seed", "2", "--out", str(data)]) == 0
+    for threads in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-m", "emoticnn.cli", "train", "--data", str(data),
+             "--out", f"run{threads}", "--epochs", "3", "--max-len", "12"],
+            capture_output=True, text=True, timeout=120, cwd=tmp_path,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert result.returncode == 0, result.stderr
+    for name in ("model.json", "weights.bin", "history.csv"):
+        assert (tmp_path / "run1" / name).read_bytes() == (tmp_path / "run2" / name).read_bytes(), name
 
 
 # ----------------------------------------------------- installed script

@@ -213,6 +213,13 @@ def test_load_dataset_reports_label_range_row_number(tmp_path):
         load_dataset(path)
 
 
+def test_load_dataset_maps_csv_errors_to_corpus_error(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(f"text,label\nok,1\n{'x' * 140_000},2\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="unreadable CSV at row 3: field larger than field limit"):
+        load_dataset(path)
+
+
 def test_tweet_label_validated():
     with pytest.raises(CorpusError):
         Tweet("x", 0)
