@@ -9,10 +9,9 @@ for usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from .corpus import (
@@ -27,11 +26,13 @@ from .corpus import (
     load_dataset,
     preprocess,
     save_dataset,
+    write_csv,
 )
 from .encode import Vocabulary, encode, fit_vocabulary, pad
 from .nn import ModelConfig, init_model
 from .persist import PersistError, load_model, save_model
 from .train import (
+    EpochRecord,
     History,
     TrainConfig,
     TrainingDiverged,
@@ -184,21 +185,16 @@ def _train_config(settings: dict, mode: str) -> TrainConfig:
 
 
 def _write_history(history: History, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_loss", "train_acc", "test_acc"])
-        for record in history:
-            writer.writerow([record.epoch, record.train_loss, record.train_acc, record.test_acc])
+    write_csv(path, [f.name for f in fields(EpochRecord)], map(astuple, history))
 
 
 def _write_confusion(matrix, path: Path) -> None:
     names = [CATEGORY_NAMES[code] for code in CATEGORY_CODES]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["actual", *names, "total"])
-        for code in CATEGORY_CODES:
-            row = matrix.counts[code - 1]
-            writer.writerow([CATEGORY_NAMES[code], *(int(n) for n in row), int(row.sum())])
+    rows = (
+        [name, *(int(n) for n in row), int(row.sum())]
+        for name, row in zip(names, matrix.counts)
+    )
+    write_csv(path, ["actual", *names, "total"], rows)
 
 
 def _print_confusion(matrix) -> None:
@@ -278,37 +274,23 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    header = ["mode", "final_test_acc", "best_test_acc", "best_epoch", "status"]
     rows = []
-    failures = 0
     for mode in (MODE_EMOTICON_TEXT, MODE_TEXT_ONLY):
         try:
             _, history, _ = _run_training(tweets, settings, mode, out_dir / mode)
         except TrainingDiverged as exc:
             print(f"warning: {mode} run diverged: {exc}", file=sys.stderr)
-            failures += 1
-            rows.append({"mode": mode, "final_test_acc": "", "best_test_acc": "",
-                         "best_epoch": "", "status": "failed"})
+            rows.append([mode, "", "", "", "failed"])
             continue
         _write_history(history, out_dir / f"history_{mode}.csv")
         best = max(history, key=lambda record: record.test_acc)
-        rows.append({
-            "mode": mode,
-            "final_test_acc": history[-1].test_acc,
-            "best_test_acc": best.test_acc,
-            "best_epoch": best.epoch,
-            "status": "ok",
-        })
+        rows.append([mode, history[-1].test_acc, best.test_acc, best.epoch, "ok"])
 
-    header = ["mode", "final_test_acc", "best_test_acc", "best_epoch", "status"]
-    with open(out_dir / "ablation.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
-    print("  ".join(name.ljust(15) for name in header))
-    for row in rows:
-        print("  ".join(str(row[name]).ljust(15) for name in header))
-    return 1 if failures else 0
+    write_csv(out_dir / "ablation.csv", header, rows)
+    for row in (header, *rows):
+        print("  ".join(str(cell).ljust(15) for cell in row))
+    return 0 if all(row[-1] == "ok" for row in rows) else 1
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

@@ -269,13 +269,21 @@ def load_dataset(path) -> list[Tweet]:
     return tweets
 
 
-def save_dataset(tweets, path) -> None:
-    """Write Tweets as a ``text,label`` CSV (standard quoting, UTF-8)."""
+def write_csv(path, header, rows) -> None:
+    """Write a header row, then rows, as UTF-8 CSV with standard quoting.
+
+    Every CSV artifact is written here, so all of them share one dialect:
+    no byte-order mark and a bare "\\n" after every row.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for tweet in tweets:
-            writer.writerow([tweet.text, tweet.label])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_dataset(tweets, path) -> None:
+    """Write Tweets as a ``text,label`` CSV."""
+    write_csv(path, _CSV_HEADER, ([tweet.text, tweet.label] for tweet in tweets))
 
 
 # --------------------------------------------------------------------

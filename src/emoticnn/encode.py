@@ -51,20 +51,10 @@ def fit_vocabulary(corpus, size_cap: int | None = None) -> Vocabulary:
     if size_cap is not None and size_cap < _NUM_RESERVED:
         raise ValueError(f"size_cap must be at least {_NUM_RESERVED}, got {size_cap}")
 
-    counts: Counter[str] = Counter()
-    first_seen: dict[str, int] = {}
-    position = 0
-    for text in texts:
-        for token in text.split():
-            counts[token] += 1
-            if token not in first_seen:
-                first_seen[token] = position
-                position += 1
-
-    ranked = sorted(counts, key=lambda w: (-counts[w], first_seen[w]))
-    if size_cap is not None:
-        ranked = ranked[: size_cap - _NUM_RESERVED]
-    return Vocabulary.from_words(ranked)
+    # A Counter keeps first-seen order, and most_common sorts stably.
+    counts = Counter(token for text in texts for token in text.split())
+    keep = None if size_cap is None else size_cap - _NUM_RESERVED
+    return Vocabulary.from_words(word for word, _ in counts.most_common(keep))
 
 
 def encode(text: str, vocab: Vocabulary) -> list[int]:

@@ -439,37 +439,27 @@ def model_backward(cache: ForwardCache, onehot) -> dict[str, np.ndarray]:
 def init_model(config: ModelConfig, seed: int) -> Model:
     """Create a Model with deterministic random initialization.
 
-    The embedding is uniform on (-0.05, 0.05); convolution and dense
-    weights are Glorot-uniform with limit sqrt(6 / (fan_in + fan_out)),
-    where a convolution's fan_in is kernel * in_channels and fan_out is
-    kernel * filters; all biases start at zero. Draw order is fixed, so
-    the same (config, seed) always yields bitwise-identical parameters.
+    The embedding is uniform on (-0.05, 0.05) and every bias starts at
+    zero. Every other tensor is Glorot-uniform with limit
+    sqrt(6 / (fan_in + fan_out)), where a weight of shape (..., n, m)
+    has fan_in = prod(shape[:-1]) and fan_out = prod(shape[:-2]) * m: a
+    convolution's fan_in is kernel * in_channels and its fan_out is
+    kernel * filters. Tensors are drawn in PARAM_NAMES order, so the
+    same (config, seed) always yields bitwise-identical parameters.
     """
     rng = np.random.default_rng(seed)
-    dtype = config.dtype
-    shapes = config.param_shapes()
-
-    def glorot(name: str, fan_in: int, fan_out: int) -> np.ndarray:
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, shapes[name]).astype(dtype, copy=False)
-
-    params = {
-        "embedding": rng.uniform(-0.05, 0.05, shapes["embedding"]).astype(dtype, copy=False),
-        "conv1_kernel": glorot(
-            "conv1_kernel", config.kernel * config.embed_dim, config.kernel * config.conv1_filters
-        ),
-        "conv1_bias": np.zeros(shapes["conv1_bias"], dtype),
-        "conv2_kernel": glorot(
-            "conv2_kernel",
-            config.kernel * config.conv1_filters,
-            config.kernel * config.conv2_filters,
-        ),
-        "conv2_bias": np.zeros(shapes["conv2_bias"], dtype),
-        "dense1_weight": glorot("dense1_weight", config.flatten_dim, config.dense_hidden),
-        "dense1_bias": np.zeros(shapes["dense1_bias"], dtype),
-        "dense2_weight": glorot("dense2_weight", config.dense_hidden, config.classes),
-        "dense2_bias": np.zeros(shapes["dense2_bias"], dtype),
-    }
+    params = {}
+    for name, shape in config.param_shapes().items():
+        if name == "embedding":
+            values = rng.uniform(-0.05, 0.05, shape)
+        elif name.endswith("_bias"):
+            values = np.zeros(shape)
+        else:
+            fan_in = math.prod(shape[:-1])
+            fan_out = math.prod(shape[:-2]) * shape[-1]
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            values = rng.uniform(-limit, limit, shape)
+        params[name] = values.astype(config.dtype, copy=False)
     return Model(config=config, params=params)
 
 

@@ -36,11 +36,14 @@ FORMAT_VERSION = 1
 MANIFEST_NAME = "model.json"
 WEIGHTS_NAME = "weights.bin"
 
-_BLOB_DTYPES = {"float32": "<f4", "float64": "<f8"}
-
 
 class PersistError(ValueError):
     """Raised when saved model files are missing, malformed, or inconsistent."""
+
+
+def _blob_dtype(config: ModelConfig) -> np.dtype:
+    """The model's float type, stored little-endian on every platform."""
+    return np.dtype(config.dtype).newbyteorder("<")
 
 
 def save_model(
@@ -53,7 +56,7 @@ def save_model(
     """Write ``model.json`` and ``weights.bin`` into model_dir."""
     out = Path(model_dir)
     out.mkdir(parents=True, exist_ok=True)
-    precision = model.config.precision
+    blob_dtype = _blob_dtype(model.config)
 
     blob = bytearray()
     layout = []
@@ -62,7 +65,7 @@ def save_model(
         if not np.all(np.isfinite(array)):
             raise PersistError(f"non-finite parameter in {name}")
         layout.append({"name": name, "shape": list(array.shape), "offset": len(blob)})
-        blob += np.ascontiguousarray(array).astype(_BLOB_DTYPES[precision]).tobytes()
+        blob += np.ascontiguousarray(array).astype(blob_dtype).tobytes()
 
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -126,8 +129,8 @@ def load_model(model_dir) -> tuple[Model, Vocabulary, EmoticonLexicon, TrainConf
     if [name for name, _, _ in entries] != list(PARAM_NAMES):
         raise PersistError("layout parameter names are wrong or out of order")
     expected_shapes = model_cfg.param_shapes()
-    blob_dtype = _BLOB_DTYPES[model_cfg.precision]
-    width = np.dtype(blob_dtype).itemsize
+    blob_dtype = _blob_dtype(model_cfg)
+    width = blob_dtype.itemsize
     running_offset = 0
     for name, shape, offset in entries:
         if shape != expected_shapes[name]:

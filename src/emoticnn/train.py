@@ -10,13 +10,14 @@ epoch from the history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .corpus import CATEGORY_CODES, MODE_EMOTICON_TEXT, MODE_TEXT_ONLY, Tweet, preprocess
 from .encode import Vocabulary, encode, pad
-from .nn import Model, RmsPropState, cross_entropy, model_backward, rmsprop_step
+from .nn import ForwardCache, Model, RmsPropState, cross_entropy, model_backward, rmsprop_step
 
 __all__ = [
     "ConfusionMatrix",
@@ -62,8 +63,12 @@ class TrainConfig:
             raise ValueError(f"split_ratio must lie in (0, 1), got {self.split_ratio}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.lr <= 0 or self.epsilon <= 0 or not 0.0 <= self.rho < 1.0:
-            raise ValueError("optimizer hyperparameters out of range")
+        finite = math.isfinite(self.lr) and math.isfinite(self.epsilon)
+        if not finite or self.lr <= 0 or self.epsilon <= 0 or not 0.0 <= self.rho < 1.0:
+            raise ValueError(
+                "optimizer hyperparameters out of range: "
+                f"lr={self.lr!r}, rho={self.rho!r}, epsilon={self.epsilon!r}"
+            )
         if self.mode not in (MODE_EMOTICON_TEXT, MODE_TEXT_ONLY):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -186,6 +191,19 @@ def evaluate(model: Model, test_set: tuple[np.ndarray, np.ndarray]) -> tuple[flo
     return matrix.accuracy, matrix
 
 
+def _first_non_finite(cache: ForwardCache) -> str:
+    """Name of the first tensor, in forward order, holding a non-finite value.
+
+    After a non-finite loss there always is one: cross_entropy of finite
+    probabilities is finite.
+    """
+    arrays = ((item.name, getattr(cache, item.name)) for item in fields(cache))
+    return next(
+        name for name, value in arrays
+        if isinstance(value, np.ndarray) and not np.isfinite(value).all()
+    )
+
+
 def train_model(
     model: Model,
     train_set: tuple[np.ndarray, np.ndarray],
@@ -199,7 +217,8 @@ def train_model(
     Expects already encoded-and-padded (ids, labels) pairs. Each epoch
     reshuffles the training set with a seed of cfg.seed XOR the 1-based
     epoch number, so runs are reproducible yet batches vary by epoch.
-    Raises TrainingDiverged if a batch loss stops being finite.
+    Raises TrainingDiverged if a batch loss stops being finite, naming
+    the epoch, the 1-based batch and the first non-finite activation.
     """
     train_ids, train_labels = np.asarray(train_set[0]), np.asarray(train_set[1])
     test_ids, test_labels = np.asarray(test_set[0]), np.asarray(test_set[1])
@@ -230,7 +249,10 @@ def train_model(
             losses = cross_entropy(probs, targets)
             batch_loss = float(losses.sum())
             if not np.isfinite(batch_loss):
-                raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
+                raise TrainingDiverged(
+                    f"non-finite loss in epoch {epoch}, batch {start // cfg.batch_size + 1}: "
+                    f"first non-finite tensor is {_first_non_finite(cache)}"
+                )
             loss_sum += batch_loss
             correct += int(((probs.argmax(axis=-1) + 1) == train_labels[batch]).sum())
             grads = model_backward(cache, targets)

@@ -47,3 +47,25 @@ def naive_rmsprop(theta, grad, acc, lr, rho, epsilon):
     """Scalar RMSProp update returning (new_theta, new_acc)."""
     acc = rho * acc + (1.0 - rho) * grad * grad
     return theta - lr * grad / (acc**0.5 + epsilon), acc
+
+
+def naive_fit_vocabulary(texts, size_cap=None) -> dict[str, int]:
+    """Word-to-index map ranked by descending count, first-seen order breaking ties.
+
+    Indices start at 2, after the padding and out-of-vocabulary slots; a
+    size_cap keeps the top (size_cap - 2) words.
+    """
+    counts: dict[str, int] = {}
+    first_seen: dict[str, int] = {}
+    position = 0
+    for text in texts:
+        for token in text.split():
+            counts[token] = counts.get(token, 0) + 1
+            if token not in first_seen:
+                first_seen[token] = position
+                position += 1
+
+    ranked = sorted(counts, key=lambda w: (-counts[w], first_seen[w]))
+    if size_cap is not None:
+        ranked = ranked[: size_cap - 2]
+    return {word: index for index, word in enumerate(ranked, start=2)}

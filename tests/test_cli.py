@@ -88,6 +88,23 @@ def test_train_history_layout(trained_run):
         float(row["train_loss"]), float(row["train_acc"]), float(row["test_acc"])
 
 
+@pytest.mark.parametrize(
+    ("name", "header"),
+    [
+        ("history.csv", b"epoch,train_loss,train_acc,test_acc\n"),
+        ("confusion.csv", b"actual,Sad,Happy,Love,Angry,total\n"),
+        ("train.csv", b"text,label\n"),
+        ("test.csv", b"text,label\n"),
+    ],
+)
+def test_train_csv_header_bytes(trained_run, name, header):
+    # The history header comes from EpochRecord's field names, so renaming
+    # a field would change the artifact; this pins the published layout.
+    data = (trained_run / name).read_bytes()
+    assert data.startswith(header)
+    assert b"\r" not in data and data.endswith(b"\n")
+
+
 def test_train_is_byte_reproducible(synth_csv, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli_main(quick_train_args(synth_csv, out_a)) == 0
@@ -193,6 +210,17 @@ def test_config_only_keys_reach_the_optimizer(synth_csv, tmp_path, capsys):
         )
     assert rc == 1
     assert "training diverged" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_fails_before_writing(synth_csv, tmp_path, capsys):
+    # JSON config files can carry Infinity and NaN, which json.load accepts.
+    config = tmp_path / "settings.json"
+    config.write_text('{"epsilon": Infinity, "epochs": 1, "max_len": 14}')
+    out = tmp_path / "run"
+    rc = cli_main(["train", "--data", str(synth_csv), "--out", str(out), "--config", str(config)])
+    assert rc == 1
+    assert "error: optimizer hyperparameters out of range" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
 
 
 def test_config_precision_float32_round_trips(synth_csv, tmp_path):
@@ -344,6 +372,9 @@ def ablation_run(tmp_path_factory):
 
 
 def test_ablate_writes_summary_and_histories(ablation_run):
+    data = (ablation_run / "ablation.csv").read_bytes()
+    assert data.startswith(b"mode,final_test_acc,best_test_acc,best_epoch,status\n")
+    assert b"\r" not in data
     rows = read_csv(ablation_run / "ablation.csv")
     assert list(rows[0]) == ["mode", "final_test_acc", "best_test_acc", "best_epoch", "status"]
     assert [row["mode"] for row in rows] == [MODE_EMOTICON_TEXT, MODE_TEXT_ONLY]
@@ -357,6 +388,26 @@ def test_ablate_writes_summary_and_histories(ablation_run):
         assert float(row["final_test_acc"]) == float(history[-1]["test_acc"])
         best = max(float(r["test_acc"]) for r in history)
         assert float(row["best_test_acc"]) == best
+
+
+def test_ablate_reports_diverged_modes_as_failed(synth_csv, tmp_path, capsys):
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps({"lr": 1e100, "epochs": 2, "max_len": 14, "batch_size": 16}))
+    out = tmp_path / "out"
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        rc = cli_main(["ablate", "--data", str(synth_csv), "--out", str(out), "--config", str(config)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    for mode in (MODE_EMOTICON_TEXT, MODE_TEXT_ONLY):
+        assert f"warning: {mode} run diverged: non-finite loss in epoch" in captured.err
+    assert (out / "ablation.csv").read_bytes() == (
+        b"mode,final_test_acc,best_test_acc,best_epoch,status\n"
+        b"emoticon_text,,,,failed\n"
+        b"text_only,,,,failed\n"
+    )
+    assert captured.out.splitlines()[1].split() == [MODE_EMOTICON_TEXT, "failed"]
 
 
 def test_ablate_trains_both_modes_to_loadable_models(ablation_run):

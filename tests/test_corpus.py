@@ -24,6 +24,7 @@ from emoticnn.corpus import (
     replace_emoticons,
     save_dataset,
     strip_emoticons,
+    write_csv,
 )
 
 SMILING = "\U0001F60A"
@@ -183,6 +184,14 @@ def test_dataset_round_trip(tmp_path):
     path = tmp_path / "data.csv"
     save_dataset(tweets, path)
     assert load_dataset(path) == tweets
+
+
+def test_write_csv_bytes(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["a", "b"], [["x,y", 'say "hi"'], ["two\nlines", 2.5], [SMILING, ""]])
+    assert path.read_bytes() == (
+        'a,b\n"x,y","say ""hi"""\n"two\nlines",2.5\n' + SMILING + ",\n"
+    ).encode("utf-8")
 
 
 def test_load_dataset_rejects_bad_header(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from naive_oracles import naive_fit_vocabulary
 
 from emoticnn.encode import (
     OOV_INDEX,
@@ -110,3 +111,14 @@ def test_encode_of_fitted_corpus_never_hits_oov(words):
     text = " ".join(words)
     vocab = fit_vocabulary([text])
     assert all(i >= 2 for i in encode(text, vocab))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(st.sampled_from("abcd"), max_size=8).map(" ".join), min_size=1, max_size=8),
+       st.data())
+def test_fit_vocabulary_matches_naive_oracle(texts, data):
+    # Four words over up to 64 tokens: tied counts are the common case.
+    # A cap runs from 2 to the vocabulary size (reserved slots included) plus 2.
+    vocab_size = len({token for text in texts for token in text.split()}) + 2
+    size_cap = data.draw(st.none() | st.integers(min_value=2, max_value=vocab_size + 2))
+    assert fit_vocabulary(texts, size_cap).word_index == naive_fit_vocabulary(texts, size_cap)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -321,8 +322,12 @@ def test_training_reduces_loss_on_small_corpus():
 def test_huge_learning_rate_raises_diverged():
     model, data, _ = make_training_setup()
     cfg = TrainConfig(batch_size=4, epochs=3, seed=0, lr=1e100)
-    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="non-finite loss"):
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="non-finite loss") as excinfo:
         train_model(model, data, data, cfg, toy_vocab(), 10)
+    # The first update blows the weights up; the second batch's forward pass overflows.
+    assert str(excinfo.value) == (
+        "non-finite loss in epoch 1, batch 2: first non-finite tensor is dense1"
+    )
 
 
 def test_train_model_validates_geometry():
@@ -344,6 +349,9 @@ def test_train_config_validation():
         TrainConfig(seed=-1)
     with pytest.raises(ValueError, match="mode"):
         TrainConfig(mode="sideways")
+    for bad in ({"lr": math.nan}, {"lr": math.inf}, {"epsilon": math.nan}, {"epsilon": math.inf}):
+        with pytest.raises(ValueError, match="optimizer hyperparameters out of range"):
+            TrainConfig(**bad)
 
 
 def test_end_to_end_synthetic_smoke():
