@@ -25,6 +25,7 @@ from .corpus import (
     generate_synthetic,
     load_dataset,
     preprocess,
+    read_utf8,
     save_dataset,
     write_csv,
 )
@@ -139,8 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = json.loads(read_utf8(path))
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(data) - set(_DEFAULT_SETTINGS))
@@ -215,6 +215,10 @@ def _run_training(
     length = settings["max_len"]
 
     train_tweets, test_tweets = split_dataset(tweets, train_cfg.split_ratio, train_cfg.seed)
+    if not train_tweets:
+        raise CorpusError(
+            f"the train/test split of {len(tweets)} post(s) left the training part empty"
+        )
     vocab = fit_vocabulary(preprocess(t.text, lexicon, mode) for t in train_tweets)
     train_arrays = encode_dataset(train_tweets, vocab, lexicon, mode, length)
     test_arrays = encode_dataset(test_tweets, vocab, lexicon, mode, length)

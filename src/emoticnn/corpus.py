@@ -19,8 +19,10 @@ carried either by the trailing emoticon or by keywords in the body.
 from __future__ import annotations
 
 import csv
+import io
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 import regex
 
@@ -79,6 +81,22 @@ class Tweet:
             raise CorpusError(f"label out of range: {self.label}")
 
 
+def read_utf8(path) -> str:
+    """The whole text of the file at path, decoded as UTF-8.
+
+    Bytes that are not UTF-8 raise CorpusError naming the file and the
+    1-based line that holds them.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusError(
+            f"{path}, line {line}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
 def _normalize_phrase(phrase: str) -> str:
     return _WS_RE.sub(" ", phrase).strip().lower()
 
@@ -128,20 +146,20 @@ class EmoticonLexicon:
         Blank lines are ignored; duplicate emoji keep the last phrase.
         """
         table: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n").rstrip("\r")
-                if not line.strip():
-                    continue
-                if "\t" not in line:
-                    raise CorpusError(
-                        f"lexicon line {lineno}: expected <emoji><TAB><phrase>"
-                    )
-                emoji, phrase = line.split("\t", 1)
-                emoji = emoji.strip()
-                if not emoji or not phrase.strip():
-                    raise CorpusError(f"lexicon line {lineno}: empty field")
-                table[emoji] = phrase
+        lines = io.StringIO(read_utf8(path), newline=None)
+        for lineno, line in enumerate(lines, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            if "\t" not in line:
+                raise CorpusError(
+                    f"lexicon line {lineno}: expected <emoji><TAB><phrase>"
+                )
+            emoji, phrase = line.split("\t", 1)
+            emoji = emoji.strip()
+            if not emoji or not phrase.strip():
+                raise CorpusError(f"lexicon line {lineno}: empty field")
+            table[emoji] = phrase
         return cls(table)
 
     def to_rows(self) -> list[list[str]]:
@@ -242,30 +260,32 @@ def load_dataset(path) -> list[Tweet]:
 
     Raises CorpusError with the offending 1-based row number for a bad
     header, a row the CSV reader rejects, a malformed row, or a label
-    outside 1-4.
+    outside 1-4, and with the line number for bytes that are not UTF-8.
+    A leading byte-order mark is not skipped: it makes the header bad.
     """
     tweets: list[Tweet] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = _numbered_rows(fh)
-        _, header = next(rows, (1, None))
-        if header is None:
-            raise CorpusError("empty file: missing 'text,label' header")
-        if header != _CSV_HEADER:
-            raise CorpusError(f"bad header {header!r}: expected 'text,label'")
-        for rownum, row in rows:
-            if len(row) != 2:
-                raise CorpusError(f"malformed row at row {rownum}: {row!r}")
-            text, label_field = row
-            try:
-                label = int(label_field)
-            except ValueError:
-                raise CorpusError(
-                    f"malformed row at row {rownum}: label {label_field!r} "
-                    "is not an integer"
-                ) from None
-            if label not in CATEGORY_CODES:
-                raise CorpusError(f"label out of range at row {rownum}")
-            tweets.append(Tweet(text=text, label=label))
+    content = read_utf8(path)
+    rows = _numbered_rows(io.StringIO(content, newline=""))
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise CorpusError("empty file: missing 'text,label' header")
+    if header != _CSV_HEADER:
+        bom = "the file starts with a UTF-8 byte-order mark; " if content.startswith("\ufeff") else ""
+        raise CorpusError(f"bad header {header!r}: {bom}expected 'text,label'")
+    for rownum, row in rows:
+        if len(row) != 2:
+            raise CorpusError(f"malformed row at row {rownum}: {row!r}")
+        text, label_field = row
+        try:
+            label = int(label_field)
+        except ValueError:
+            raise CorpusError(
+                f"malformed row at row {rownum}: label {label_field!r} "
+                "is not an integer"
+            ) from None
+        if label not in CATEGORY_CODES:
+            raise CorpusError(f"label out of range at row {rownum}")
+        tweets.append(Tweet(text=text, label=label))
     return tweets
 
 

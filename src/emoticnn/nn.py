@@ -187,7 +187,7 @@ def conv1d_forward(x, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
         (*x.shape[:-2], t_out, filters), dtype=np.result_type(x.dtype, kernel.dtype)
     )
     for offset in range(k):
-        out += np.einsum("...tc,cf->...tf", x[..., offset : offset + t_out, :], kernel[offset])
+        out += x[..., offset : offset + t_out, :] @ kernel[offset]
     out += bias
     return out
 
@@ -205,7 +205,7 @@ def conv1d_backward(
     for offset in range(k):
         window = x[..., offset : offset + t_out, :]
         dkernel[offset] = window.reshape(-1, c_in).T @ dout_flat
-        dx[..., offset : offset + t_out, :] += np.einsum("...tf,cf->...tc", dout, kernel[offset])
+        dx[..., offset : offset + t_out, :] += (dout_flat @ kernel[offset].T).reshape(window.shape)
     return dx, dkernel, dbias
 
 
@@ -219,18 +219,21 @@ def maxpool1d(x) -> tuple[np.ndarray, np.ndarray]:
 
     A trailing odd timestep is dropped. Returns the pooled tensor of
     shape (..., T // 2, C) and the absolute time index of each winning
-    element (ties go to the earlier position), which the backward pass
-    uses to route gradients.
+    element, which the backward pass uses to route gradients. The winner
+    is chosen as numpy's argmax would: ties go to the earlier position
+    and the first NaN wins, so a NaN always propagates.
     """
     x = np.asarray(x)
     steps = x.shape[-2]
     if steps < 2:
         raise ValueError(f"maxpool1d needs at least 2 timesteps, got {steps}")
     t_out = steps // 2
-    windows = x[..., : 2 * t_out, :].reshape(*x.shape[:-2], t_out, 2, x.shape[-1])
-    within = windows.argmax(axis=-2)
-    pooled = np.take_along_axis(windows, within[..., None, :], axis=-2).squeeze(-2)
-    winners = within + 2 * np.arange(t_out).reshape(-1, 1)
+    first = x[..., 0 : 2 * t_out : 2, :]
+    second = x[..., 1 : 2 * t_out : 2, :]
+    # The later slot wins if it is larger, or if it alone is NaN.
+    later = ~(first >= second) & (first == first)
+    pooled = np.where(later, second, first)
+    winners = later + 2 * np.arange(t_out).reshape(-1, 1)
     return pooled, winners
 
 
@@ -418,10 +421,11 @@ def model_backward(cache: ForwardCache, onehot) -> dict[str, np.ndarray]:
     drelu1 = maxpool1d_backward(dpool1, cache.pool1_winners, cache.relu1.shape)
     dconv1 = drelu1 * (cache.conv1 > 0)
     dembedded, dk1, dbc1 = conv1d_backward(cache.embedded, p["conv1_kernel"], dconv1)
-    dembedding = np.zeros_like(p["embedding"])
-    np.add.at(
-        dembedding, cache.ids.reshape(-1), dembedded.reshape(-1, dembedded.shape[-1])
-    )
+    # Add each position's gradient into its id's row, in position order, in float64.
+    vocab, dim = p["embedding"].shape
+    slots = (cache.ids.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
+    dembedding = np.bincount(slots, dembedded.reshape(-1), minlength=vocab * dim)
+    dembedding = dembedding.reshape(vocab, dim).astype(p["embedding"].dtype, copy=False)
 
     return {
         "embedding": dembedding,

@@ -238,33 +238,36 @@ def train_model(
     n = train_ids.shape[0]
     state = RmsPropState.for_params(model.params, lr=cfg.lr, rho=cfg.rho, epsilon=cfg.epsilon)
     history: History = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = np.random.default_rng(cfg.seed ^ epoch).permutation(n)
-        loss_sum = 0.0
-        correct = 0
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            targets = one_hot(train_labels[batch])
-            probs, cache = model.forward(train_ids[batch])
-            losses = cross_entropy(probs, targets)
-            batch_loss = float(losses.sum())
-            if not np.isfinite(batch_loss):
-                raise TrainingDiverged(
-                    f"non-finite loss in epoch {epoch}, batch {start // cfg.batch_size + 1}: "
-                    f"first non-finite tensor is {_first_non_finite(cache)}"
+    # A diverging run overflows long before its loss turns non-finite;
+    # TrainingDiverged reports it, so numpy's own warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = np.random.default_rng(cfg.seed ^ epoch).permutation(n)
+            loss_sum = 0.0
+            correct = 0
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                targets = one_hot(train_labels[batch])
+                probs, cache = model.forward(train_ids[batch])
+                losses = cross_entropy(probs, targets)
+                batch_loss = float(losses.sum())
+                if not np.isfinite(batch_loss):
+                    raise TrainingDiverged(
+                        f"non-finite loss in epoch {epoch}, batch {start // cfg.batch_size + 1}: "
+                        f"first non-finite tensor is {_first_non_finite(cache)}"
+                    )
+                loss_sum += batch_loss
+                correct += int(((probs.argmax(axis=-1) + 1) == train_labels[batch]).sum())
+                grads = model_backward(cache, targets)
+                rmsprop_step(model.params, grads, state)
+                model.mark_updated()
+            test_acc, _ = evaluate(model, (test_ids, test_labels))
+            history.append(
+                EpochRecord(
+                    epoch=epoch,
+                    train_loss=loss_sum / n,
+                    train_acc=correct / n,
+                    test_acc=test_acc,
                 )
-            loss_sum += batch_loss
-            correct += int(((probs.argmax(axis=-1) + 1) == train_labels[batch]).sum())
-            grads = model_backward(cache, targets)
-            rmsprop_step(model.params, grads, state)
-            model.mark_updated()
-        test_acc, _ = evaluate(model, (test_ids, test_labels))
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=loss_sum / n,
-                train_acc=correct / n,
-                test_acc=test_acc,
             )
-        )
     return model, history

@@ -1,7 +1,10 @@
 """Independent reference implementations used to cross-check the fast paths.
 
-Everything here is written with explicit Python loops and no shared code
-with the package, so agreement is meaningful evidence of correctness.
+Everything here shares no code with the package, so agreement is
+meaningful evidence of correctness. The ``naive_`` oracles are explicit
+Python loops; the others are the package's earlier numpy kernels (einsum
+convolution, argmax pooling, np.add.at scatter), kept to pin the fast
+kernels that replaced them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,11 @@ def naive_conv1d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndar
 
 
 def naive_maxpool1d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Loop-based window-2 stride-2 max pooling for a single (T, C) input."""
+    """Loop-based window-2 stride-2 max pooling for a single (T, C) input.
+
+    The winner is chosen as numpy's argmax chooses: the later element
+    wins only if it is larger or is the first NaN of the pair.
+    """
     steps, channels = x.shape
     t_out = steps // 2
     out = np.zeros((t_out, channels), dtype=np.float64)
@@ -34,13 +41,61 @@ def naive_maxpool1d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for t in range(t_out):
         for c in range(channels):
             first, second = x[2 * t, c], x[2 * t + 1, c]
-            if second > first:
+            if not np.isnan(first) and (np.isnan(second) or second > first):
                 out[t, c] = second
                 winners[t, c] = 2 * t + 1
             else:
                 out[t, c] = first
                 winners[t, c] = 2 * t
     return out, winners
+
+
+def einsum_conv1d_forward(x, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Unpadded 1D convolution of (..., T, C) by (k, C, F), one einsum per tap."""
+    x = np.asarray(x)
+    k, _, filters = kernel.shape
+    t_out = x.shape[-2] - k + 1
+    out = np.zeros(
+        (*x.shape[:-2], t_out, filters), dtype=np.result_type(x.dtype, kernel.dtype)
+    )
+    for offset in range(k):
+        out += np.einsum("...tc,cf->...tf", x[..., offset : offset + t_out, :], kernel[offset])
+    out += bias
+    return out
+
+
+def einsum_conv1d_backward(x, kernel, dout):
+    """(dx, dkernel, dbias) of einsum_conv1d_forward, one einsum per tap."""
+    k, c_in, filters = kernel.shape
+    t_out = dout.shape[-2]
+    batched_dout = dout.reshape(-1, t_out, filters)
+    dbias = np.einsum("btf->f", batched_dout)
+    dkernel = np.empty_like(kernel)
+    dx = np.zeros_like(x)
+    for offset in range(k):
+        window = x[..., offset : offset + t_out, :].reshape(-1, t_out, c_in)
+        dkernel[offset] = np.einsum("btc,btf->cf", window, batched_dout)
+        dx[..., offset : offset + t_out, :] += np.einsum("...tf,cf->...tc", dout, kernel[offset])
+    return dx, dkernel, dbias
+
+
+def argmax_maxpool1d(x) -> tuple[np.ndarray, np.ndarray]:
+    """Window-2 stride-2 max pooling of (..., T, C) by argmax over paired slots."""
+    x = np.asarray(x)
+    t_out = x.shape[-2] // 2
+    windows = x[..., : 2 * t_out, :].reshape(*x.shape[:-2], t_out, 2, x.shape[-1])
+    within = windows.argmax(axis=-2)
+    pooled = np.take_along_axis(windows, within[..., None, :], axis=-2).squeeze(-2)
+    winners = within + 2 * np.arange(t_out).reshape(-1, 1)
+    return pooled, winners
+
+
+def add_at_embedding_grad(ids, dembedded, vocab_size):
+    """Embedding-table gradient: each position's row of dembedded added at its id."""
+    dim = dembedded.shape[-1]
+    grad = np.zeros((vocab_size, dim), dtype=dembedded.dtype)
+    np.add.at(grad, np.asarray(ids).reshape(-1), dembedded.reshape(-1, dim))
+    return grad
 
 
 def naive_rmsprop(theta, grad, acc, lr, rho, epsilon):

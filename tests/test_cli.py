@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -21,6 +23,19 @@ TRAIN_OUTPUTS = ("model.json", "weights.bin", "history.csv", "confusion.csv", "t
 def read_csv(path) -> list[dict]:
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+@contextlib.contextmanager
+def no_runtime_warnings():
+    """Fail if the block emits a RuntimeWarning, such as numpy's overflow warnings.
+
+    A diverging run is reported by the CLI's own error or warning line;
+    numpy's warnings would only print the package's source path before it.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def quick_train_args(data, out, **overrides):
@@ -171,6 +186,51 @@ def test_train_rejects_too_short_max_len(synth_csv, tmp_path, capsys):
     assert "too short" in capsys.readouterr().err
 
 
+# Each input file with one byte that is not UTF-8, on the line noted.
+NON_UTF8_INPUTS = {
+    "--data": (b"text,label\nfine,1\n\"two\nlines \xff\",2\n", 4),
+    "--lexicon": ("\U0001F60A\tsmile\n".encode() + b"bad \xff\tphrase\n", 2),
+    "--config": (b'{"epochs": 2,\n "seed": "\xff"}', 2),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(NON_UTF8_INPUTS))
+def test_non_utf8_input_names_its_file_and_line(synth_csv, tmp_path, capsys, flag):
+    content, line = NON_UTF8_INPUTS[flag]
+    bad = tmp_path / f"bad{flag}"
+    bad.write_bytes(content)
+    argv = quick_train_args(synth_csv, tmp_path / "out")
+    if flag == "--data":
+        argv[argv.index("--data") + 1] = str(bad)
+    else:
+        argv += [flag, str(bad)]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}, line {line}: not valid UTF-8 (invalid start byte at byte ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_byte_order_mark_is_named_in_the_header_error(tmp_path, capsys):
+    data = tmp_path / "exported.csv"
+    data.write_bytes(b"\xef\xbb\xbftext,label\nhello there,1\n")
+    assert cli_main(quick_train_args(data, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        "error: bad header ['\\ufefftext', 'label']: the file starts with a UTF-8 "
+        "byte-order mark; expected 'text,label'\n"
+    )
+
+
+def test_split_without_training_posts_says_so(tmp_path, capsys):
+    data = tmp_path / "one.csv"
+    data.write_text("text,label\nhello there,2\n", encoding="utf-8")
+    assert cli_main(quick_train_args(data, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        "error: the train/test split of 1 post(s) left the training part empty\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------- config
 
 
@@ -201,9 +261,7 @@ def test_config_only_keys_reach_the_optimizer(synth_csv, tmp_path, capsys):
     # A preposterous learning rate must flow through and blow up training.
     config = tmp_path / "settings.json"
     config.write_text(json.dumps({"lr": 1e100, "epochs": 2, "max_len": 14, "batch_size": 16}))
-    import numpy as np
-
-    with np.errstate(all="ignore"):
+    with no_runtime_warnings():
         rc = cli_main(
             ["train", "--data", str(synth_csv), "--out", str(tmp_path / "run"),
              "--config", str(config)]
@@ -394,9 +452,7 @@ def test_ablate_reports_diverged_modes_as_failed(synth_csv, tmp_path, capsys):
     config = tmp_path / "settings.json"
     config.write_text(json.dumps({"lr": 1e100, "epochs": 2, "max_len": 14, "batch_size": 16}))
     out = tmp_path / "out"
-    import numpy as np
-
-    with np.errstate(all="ignore"):
+    with no_runtime_warnings():
         rc = cli_main(["ablate", "--data", str(synth_csv), "--out", str(out), "--config", str(config)])
     assert rc == 1
     captured = capsys.readouterr()

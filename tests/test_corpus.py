@@ -116,6 +116,19 @@ def test_lexicon_from_file_rejects_missing_tab(tmp_path):
         EmoticonLexicon.from_file(path)
 
 
+def test_lexicon_from_file_accepts_any_line_ending(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_bytes(f"{SMILING}\tHappy\r\n{HEART_EYES}\tIn Love\r".encode())
+    assert EmoticonLexicon.from_file(path).to_rows() == [[SMILING, "happy"], [HEART_EYES, "in love"]]
+
+
+def test_lexicon_from_file_names_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_bytes(f"{SMILING}\tHappy\n".encode() + b"\xc3\tbroken\n")
+    with pytest.raises(CorpusError, match=r"lex\.tsv, line 2: not valid UTF-8"):
+        EmoticonLexicon.from_file(path)
+
+
 def test_lexicon_from_file_rejects_empty_phrase(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text(f"{SMILING}\t \n", encoding="utf-8")
@@ -198,6 +211,13 @@ def test_load_dataset_rejects_bad_header(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("txt,lbl\nhello,1\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="bad header"):
+        load_dataset(path)
+
+
+def test_load_dataset_names_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("\ufefftext,label\nhello,1\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="bad header .*: the file starts with a UTF-8 byte-order mark"):
         load_dataset(path)
 
 

@@ -10,9 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from naive_oracles import naive_conv1d, naive_maxpool1d, naive_rmsprop
+from naive_oracles import (
+    add_at_embedding_grad,
+    argmax_maxpool1d,
+    einsum_conv1d_backward,
+    einsum_conv1d_forward,
+    naive_conv1d,
+    naive_maxpool1d,
+    naive_rmsprop,
+)
 
+from emoticnn import nn
 from emoticnn.nn import (
     LOSS_CLAMP,
     PARAM_NAMES,
@@ -75,6 +85,137 @@ def test_maxpool1d_matches_naive_oracle_over_random_cases():
         naive_pooled, naive_winners = naive_maxpool1d(x)
         assert np.max(np.abs(pooled - naive_pooled)) <= 1e-12
         assert np.array_equal(winners, naive_winners)
+
+
+def assert_within(fast, oracle, tol=1e-12):
+    """Agreement to tol, relative to the oracle's largest magnitude (at least 1)."""
+    assert fast.shape == oracle.shape and fast.dtype == oracle.dtype
+    scale = max(1.0, float(np.abs(oracle).max(initial=0.0)))
+    assert float(np.abs(fast - oracle).max(initial=0.0)) <= tol * scale
+
+
+# A conv case: leading batch shape (() is a bare (T, C) input), steps,
+# channels, filters, kernel width and the seed of the values.
+conv_cases = st.tuples(
+    st.sampled_from([(), (1,), (3,), (2, 2), (256,)]),
+    st.integers(3, 12),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(conv_cases)
+def test_conv1d_matches_einsum_oracle(case):
+    batch, steps, channels, filters, k, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(*batch, steps, channels))
+    kernel = rng.normal(size=(k, channels, filters))
+    bias = rng.normal(size=filters)
+    dout = rng.normal(size=(*batch, steps - k + 1, filters))
+
+    assert_within(conv1d_forward(x, kernel, bias), einsum_conv1d_forward(x, kernel, bias))
+    for fast, oracle in zip(conv1d_backward(x, kernel, dout), einsum_conv1d_backward(x, kernel, dout)):
+        assert_within(fast, oracle)
+
+
+# Values that stress the winner rule: NaN, both infinities, both zeros
+# and repeated values (ties), mixed with arbitrary floats.
+pool_values = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0]) | st.floats()
+pool_inputs = st.tuples(
+    st.sampled_from([(), (1,), (3,), (2, 2)]), st.integers(2, 9), st.integers(1, 4)
+).flatmap(lambda dims: arrays(np.float64, (*dims[0], dims[1], dims[2]), elements=pool_values))
+
+
+def assert_same_floats(a, b):
+    """Bitwise-level agreement: equal values, NaN where NaN, and the sign of zero."""
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_inputs)
+def test_maxpool1d_matches_argmax_oracle(x):
+    pooled, winners = maxpool1d(x)
+    oracle_pooled, oracle_winners = argmax_maxpool1d(x)
+    assert_same_floats(pooled, oracle_pooled)
+    assert winners.dtype == oracle_winners.dtype
+    assert np.array_equal(winners, oracle_winners)
+    if x.ndim == 2:
+        naive_pooled, naive_winners = naive_maxpool1d(x)
+        assert_same_floats(pooled, naive_pooled)
+        assert np.array_equal(winners, naive_winners)
+
+
+@pytest.mark.parametrize(
+    "pair, value, winner",
+    [
+        ((np.nan, 1.0), np.nan, 0),
+        ((1.0, np.nan), np.nan, 1),
+        ((np.nan, np.nan), np.nan, 0),
+        ((-np.inf, np.nan), np.nan, 1),
+        ((np.inf, np.nan), np.nan, 1),
+        ((-np.inf, np.inf), np.inf, 1),
+        ((np.inf, np.inf), np.inf, 0),
+        ((-0.0, 0.0), -0.0, 0),
+        ((0.0, -0.0), 0.0, 0),
+        ((2.0, 2.0), 2.0, 0),
+    ],
+)
+def test_maxpool1d_winner_rule(pair, value, winner):
+    pooled, winners = maxpool1d(np.array(pair).reshape(2, 1))
+    assert_same_floats(pooled, np.array([[value]]))
+    assert winners.tolist() == [[winner]]
+
+
+def _embedding_grad_and_oracle(model: Model, ids, onehot):
+    """model_backward's embedding gradient, and np.add.at of the same upstream gradient."""
+    upstream = []
+
+    def recording_conv1d_backward(x, kernel, dout):
+        result = conv1d_backward(x, kernel, dout)
+        upstream.append(result[0])
+        return result
+
+    _, cache = model.forward(ids)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "conv1d_backward", recording_conv1d_backward)
+        grads = model_backward(cache, onehot)
+    # conv1's backward runs last; its input gradient is d(loss)/d(embedded).
+    dembedded = upstream[-1].astype(np.float64)
+    return grads["embedding"], add_at_embedding_grad(ids, dembedded, model.config.vocab_size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda batch: arrays(np.int64, (batch, TINY.L), elements=st.integers(0, TINY.vocab_size - 1))
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_embedding_gradient_matches_add_at_oracle(ids, seed):
+    # Force the extreme ids and a repeat into every case.
+    last = TINY.vocab_size - 1
+    ids = ids.copy()
+    ids.flat[:3] = (0, last, last)
+    rng = np.random.default_rng(seed)
+    onehot = np.eye(4)[rng.integers(0, 4, size=ids.shape[0])]
+    grad, oracle = _embedding_grad_and_oracle(init_model(TINY, seed % 1000), ids, onehot)
+    assert grad.dtype == np.float64
+    assert np.array_equal(grad, oracle)
+
+
+def test_float32_embedding_gradient_is_float64_sum_rounded_once():
+    config = ModelConfig(vocab_size=6, L=10, precision="float32")
+    rng = np.random.default_rng(11)
+    ids = rng.integers(0, config.vocab_size, size=(8, config.L))
+    onehot = np.eye(4)[rng.integers(0, 4, size=8)]
+    grad, oracle = _embedding_grad_and_oracle(init_model(config, 2), ids, onehot)
+    assert grad.dtype == np.float32
+    assert np.array_equal(grad, oracle.astype(np.float32))
 
 
 # --------------------------------------------------------- convolution
