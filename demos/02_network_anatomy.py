@@ -7,6 +7,7 @@ Run from the repository root:  python3 demos/02_network_anatomy.py
 import numpy as np
 
 from emoticnn import (
+    LAYERS,
     ModelConfig,
     cross_entropy,
     gradient_check,
@@ -15,18 +16,16 @@ from emoticnn import (
 )
 
 # ------------------------------------------------------------------
-# 1. The architecture is fixed: embedding(128) -> conv1d(64 filters,
-#    width 3, valid) -> relu -> maxpool(2/2) -> conv1d(32, width 3)
-#    -> relu -> maxpool(2/2) -> flatten -> dense(16) -> relu ->
-#    dense(4) -> softmax. Only the vocabulary size and the sequence
-#    length L vary. The config knows its whole dimension chain.
+# 1. The architecture is fixed and written down once, as the table
+#    LAYERS: one row per layer, in forward order, with its kind and
+#    its parameters. Only the vocabulary size and the sequence length
+#    L vary. The config walks the table for the dimension chain.
 # ------------------------------------------------------------------
 
 config = ModelConfig(vocab_size=40, L=16)
 print("dimension chain for L=16:")
-names = ["embed", "conv1", "pool1", "conv2", "pool2", "flat", "dense1", "out"]
-for name, shape in zip(names, config.shape_chain()):
-    print(f"   {name:<7} {shape}")
+for layer, shape in zip(LAYERS, config.shape_chain()):
+    print(f"   {layer.name:<8} {layer.kind:<13} {shape}")
 
 # Valid convolutions and floor pooling put a hard floor on L: the
 # stack needs at least 10 timesteps to leave one pooled step alive.
@@ -37,7 +36,7 @@ except ValueError as exc:
 
 # ------------------------------------------------------------------
 # 2. A forward pass returns probabilities plus a cache of every
-#    intermediate tensor, which the backward pass consumes.
+#    layer's output, which the backward pass consumes.
 # ------------------------------------------------------------------
 
 model = init_model(config, seed=0)

@@ -25,6 +25,7 @@ from .corpus import (
 )
 from .encode import OOV_INDEX, PAD_INDEX, Vocabulary, encode, fit_vocabulary, pad
 from .nn import (
+    LAYERS,
     ForwardCache,
     Model,
     ModelConfig,
@@ -57,6 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CATEGORY_CODES",
     "CATEGORY_NAMES",
+    "LAYERS",
     "MODE_EMOTICON_TEXT",
     "MODE_TEXT_ONLY",
     "ConfusionMatrix",

@@ -3,21 +3,27 @@
 Every tensor operation, every gradient, and the RMSProp update rule are
 written directly against numpy so the arithmetic is fully inspectable and
 each backward pass can be validated with central finite differences. The
-layer stack is fixed: embedding -> conv -> relu -> maxpool -> conv -> relu
--> maxpool -> flatten -> dense -> relu -> dense -> softmax.
+layer stack is fixed and written down once, in LAYERS: the config's
+shapes, the parameter list, the forward pass and the backward pass all
+walk that table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "LAYERS",
     "LOSS_CLAMP",
     "PARAM_NAMES",
     "ForwardCache",
+    "Layer",
     "Model",
     "ModelConfig",
     "RmsPropState",
@@ -39,24 +45,40 @@ __all__ = [
 
 LOSS_CLAMP = 1e-12
 
-PARAM_NAMES = (
-    "embedding",
-    "conv1_kernel",
-    "conv1_bias",
-    "conv2_kernel",
-    "conv2_bias",
-    "dense1_weight",
-    "dense1_bias",
-    "dense2_weight",
-    "dense2_bias",
+
+class Layer(NamedTuple):
+    """A row of LAYERS: width names the ModelConfig field that sets the last
+    output dimension (None keeps the input's); params are weight, then bias."""
+
+    name: str
+    kind: str
+    width: str | None = None
+    params: tuple[str, ...] = ()
+
+
+# The network in forward order. Kinds: embed, conv_relu, pool, flatten,
+# dense_relu and dense_softmax. A row's name is also the ForwardCache
+# attribute that holds the layer's output.
+LAYERS = (
+    Layer("embedded", "embed", "embed_dim", ("embedding",)),
+    Layer("conv1", "conv_relu", "conv1_filters", ("conv1_kernel", "conv1_bias")),
+    Layer("pool1", "pool"),
+    Layer("conv2", "conv_relu", "conv2_filters", ("conv2_kernel", "conv2_bias")),
+    Layer("pool2", "pool"),
+    Layer("flat", "flatten"),
+    Layer("dense1", "dense_relu", "dense_hidden", ("dense1_weight", "dense1_bias")),
+    Layer("probs", "dense_softmax", "classes", ("dense2_weight", "dense2_bias")),
 )
+
+# Also the tensor order of weights.bin and of init_model's random draws.
+PARAM_NAMES = tuple(name for layer in LAYERS for name in layer.params)
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Hyperparameters of the fixed convolutional stack.
+    """Hyperparameters of the fixed convolutional stack in LAYERS.
 
     Spatial sizes shrink deterministically: each convolution is unpadded
     (length T becomes T - kernel + 1) and each pooling stage halves the
@@ -87,7 +109,7 @@ class ModelConfig:
                 "vocab_size must be at least 2 (padding and OOV indices), "
                 f"got {self.vocab_size}"
             )
-        for name in ("embed_dim", "conv1_filters", "conv2_filters", "dense_hidden", "classes"):
+        for name in (layer.width for layer in LAYERS if layer.width):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.kernel < 1:
@@ -95,7 +117,7 @@ class ModelConfig:
         if self.pool != 2 or self.pool_stride != 2:
             raise ValueError("only pooling with window 2 and stride 2 is supported")
         min_length = 3 * self.kernel + 1
-        if self.L < min_length or self.pool2_len < 1:
+        if self.L < min_length:
             raise ValueError(
                 f"sequence length {self.L} is too short for kernel {self.kernel}: "
                 f"the layer stack needs L >= {min_length}"
@@ -105,52 +127,36 @@ class ModelConfig:
     def dtype(self) -> type:
         return _DTYPES[self.precision]
 
-    @property
-    def conv1_len(self) -> int:
-        return self.L - self.kernel + 1
-
-    @property
-    def pool1_len(self) -> int:
-        return self.conv1_len // self.pool_stride
-
-    @property
-    def conv2_len(self) -> int:
-        return self.pool1_len - self.kernel + 1
-
-    @property
-    def pool2_len(self) -> int:
-        return self.conv2_len // self.pool_stride
-
-    @property
-    def flatten_dim(self) -> int:
-        return self.pool2_len * self.conv2_filters
+    @cached_property
+    def _shapes(self) -> tuple[tuple[tuple[int, ...], ...], dict[str, tuple[int, ...]]]:
+        """Walk LAYERS once: per-sample output shapes and parameter shapes."""
+        shape: tuple[int, ...] = (self.L,)
+        chain, params = [], {}
+        for layer in LAYERS:
+            width = getattr(self, layer.width) if layer.width else shape[-1]
+            weight = ()
+            if layer.kind == "embed":
+                weight, shape = (self.vocab_size, width), (self.L, width)
+            elif layer.kind == "conv_relu":
+                weight = (self.kernel, shape[-1], width)
+                shape = (shape[0] - self.kernel + 1, width)
+            elif layer.kind == "pool":
+                shape = (shape[0] // self.pool_stride, width)
+            elif layer.kind == "flatten":
+                shape = (math.prod(shape),)
+            else:
+                weight, shape = (shape[0], width), (width,)
+            chain.append(shape)
+            params.update(zip(layer.params, (weight, (width,))))
+        return tuple(chain), params
 
     def shape_chain(self) -> tuple[tuple[int, ...], ...]:
-        """Per-sample activation shapes from embedding output to softmax."""
-        return (
-            (self.L, self.embed_dim),
-            (self.conv1_len, self.conv1_filters),
-            (self.pool1_len, self.conv1_filters),
-            (self.conv2_len, self.conv2_filters),
-            (self.pool2_len, self.conv2_filters),
-            (self.flatten_dim,),
-            (self.dense_hidden,),
-            (self.classes,),
-        )
+        """Per-sample output shape of each layer in LAYERS."""
+        return self._shapes[0]
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Parameter tensor shapes keyed by canonical name, in PARAM_NAMES order."""
-        return {
-            "embedding": (self.vocab_size, self.embed_dim),
-            "conv1_kernel": (self.kernel, self.embed_dim, self.conv1_filters),
-            "conv1_bias": (self.conv1_filters,),
-            "conv2_kernel": (self.kernel, self.conv1_filters, self.conv2_filters),
-            "conv2_bias": (self.conv2_filters,),
-            "dense1_weight": (self.flatten_dim, self.dense_hidden),
-            "dense1_bias": (self.dense_hidden,),
-            "dense2_weight": (self.dense_hidden, self.classes),
-            "dense2_bias": (self.classes,),
-        }
+        return dict(self._shapes[1])
 
 
 def embedding_forward(ids, embedding: np.ndarray) -> np.ndarray:
@@ -296,27 +302,10 @@ def cross_entropy(probs, onehot) -> np.ndarray:
     return -np.log(np.maximum(p_true, LOSS_CLAMP))
 
 
-@dataclass
-class ForwardCache:
-    """Activations recorded by Model.forward for one backward pass."""
-
-    model: "Model"
-    version: int
-    ids: np.ndarray
-    embedded: np.ndarray
-    conv1: np.ndarray
-    relu1: np.ndarray
-    pool1: np.ndarray
-    pool1_winners: np.ndarray
-    conv2: np.ndarray
-    relu2: np.ndarray
-    pool2: np.ndarray
-    pool2_winners: np.ndarray
-    flat: np.ndarray
-    dense1: np.ndarray
-    relu_dense: np.ndarray
-    logits: np.ndarray
-    probs: np.ndarray
+class ForwardCache(SimpleNamespace):
+    """What Model.forward records for one backward pass: the model, its
+    version and the ids; each layer's output under its LAYERS name
+    (cache.conv1); and winners, each pool layer's winning positions."""
 
 
 @dataclass
@@ -344,49 +333,25 @@ class Model:
             ids = ids[None, :]
         if ids.ndim != 2 or ids.shape[1] != cfg.L:
             raise ValueError(f"expected ids of shape (batch, {cfg.L}), got {ids.shape}")
-        p = self.params
-
-        embedded = embedding_forward(ids, p["embedding"])
-        conv1 = conv1d_forward(embedded, p["conv1_kernel"], p["conv1_bias"])
-        relu1 = relu(conv1)
-        pool1, pool1_winners = maxpool1d(relu1)
-        conv2 = conv1d_forward(pool1, p["conv2_kernel"], p["conv2_bias"])
-        relu2 = relu(conv2)
-        pool2, pool2_winners = maxpool1d(relu2)
-        flat = pool2.reshape(ids.shape[0], cfg.flatten_dim)
-        dense1 = dense_forward(flat, p["dense1_weight"], p["dense1_bias"])
-        relu_dense = relu(dense1)
-        logits = dense_forward(relu_dense, p["dense2_weight"], p["dense2_bias"])
-        probs = softmax(logits)
-
-        chain = cfg.shape_chain()
-        assert embedded.shape[1:] == chain[0], embedded.shape
-        assert conv1.shape[1:] == chain[1], conv1.shape
-        assert pool1.shape[1:] == chain[2], pool1.shape
-        assert conv2.shape[1:] == chain[3], conv2.shape
-        assert pool2.shape[1:] == chain[4], pool2.shape
-        assert flat.shape[1:] == chain[5], flat.shape
-        assert dense1.shape[1:] == chain[6], dense1.shape
-        assert probs.shape[1:] == chain[7], probs.shape
-
-        return probs, ForwardCache(
-            model=self,
-            version=self._version,
-            ids=ids,
-            embedded=embedded,
-            conv1=conv1,
-            relu1=relu1,
-            pool1=pool1,
-            pool1_winners=pool1_winners,
-            conv2=conv2,
-            relu2=relu2,
-            pool2=pool2,
-            pool2_winners=pool2_winners,
-            flat=flat,
-            dense1=dense1,
-            relu_dense=relu_dense,
-            logits=logits,
-            probs=probs,
+        params, x, outputs, winners = self.params, ids, {}, {}
+        for layer, shape in zip(LAYERS, cfg.shape_chain()):
+            weights = [params[name] for name in layer.params]
+            if layer.kind == "embed":
+                x = embedding_forward(x, *weights)
+            elif layer.kind == "conv_relu":
+                x = relu(conv1d_forward(x, *weights))
+            elif layer.kind == "pool":
+                x, winners[layer.name] = maxpool1d(x)
+            elif layer.kind == "flatten":
+                x = x.reshape(x.shape[0], -1)
+            elif layer.kind == "dense_relu":
+                x = relu(dense_forward(x, *weights))
+            else:
+                x = softmax(dense_forward(x, *weights))
+            assert x.shape[1:] == shape, (layer.name, x.shape)
+            outputs[layer.name] = x
+        return x, ForwardCache(
+            model=self, version=self._version, ids=ids, winners=winners, **outputs
         )
 
 
@@ -402,42 +367,38 @@ def model_backward(cache: ForwardCache, onehot) -> dict[str, np.ndarray]:
     model = cache.model
     if cache.version != model._version:
         raise ValueError("stale cache: parameters changed since this forward pass")
-    p = model.params
     probs = cache.probs
     onehot = np.asarray(onehot, dtype=probs.dtype)
     if onehot.shape != probs.shape:
         raise ValueError(f"labels shape {onehot.shape} != probs shape {probs.shape}")
     _validate_one_hot(onehot)
 
-    batch = probs.shape[0]
-    dlogits = (probs - onehot) / batch
-    drelu_dense, dw2, db2 = dense_backward(cache.relu_dense, p["dense2_weight"], dlogits)
-    ddense1 = drelu_dense * (cache.dense1 > 0)
-    dflat, dw1, db1 = dense_backward(cache.flat, p["dense1_weight"], ddense1)
-    dpool2 = dflat.reshape(cache.pool2.shape)
-    drelu2 = maxpool1d_backward(dpool2, cache.pool2_winners, cache.relu2.shape)
-    dconv2 = drelu2 * (cache.conv2 > 0)
-    dpool1, dk2, dbc2 = conv1d_backward(cache.pool1, p["conv2_kernel"], dconv2)
-    drelu1 = maxpool1d_backward(dpool1, cache.pool1_winners, cache.relu1.shape)
-    dconv1 = drelu1 * (cache.conv1 > 0)
-    dembedded, dk1, dbc1 = conv1d_backward(cache.embedded, p["conv1_kernel"], dconv1)
-    # Add each position's gradient into its id's row, in position order, in float64.
-    vocab, dim = p["embedding"].shape
-    slots = (cache.ids.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
-    dembedding = np.bincount(slots, dembedded.reshape(-1), minlength=vocab * dim)
-    dembedding = dembedding.reshape(vocab, dim).astype(p["embedding"].dtype, copy=False)
-
-    return {
-        "embedding": dembedding,
-        "conv1_kernel": dk1,
-        "conv1_bias": dbc1,
-        "conv2_kernel": dk2,
-        "conv2_bias": dbc2,
-        "dense1_weight": dw1,
-        "dense1_bias": db1,
-        "dense2_weight": dw2,
-        "dense2_bias": db2,
-    }
+    # Softmax and cross-entropy together: the mean loss's gradient at the logits is (p - y) / batch.
+    dout = (probs - onehot) / probs.shape[0]
+    grads: dict[str, np.ndarray] = {}
+    outputs = [cache.ids, *(getattr(cache, layer.name) for layer in LAYERS)]
+    for layer, x, out in reversed(list(zip(LAYERS, outputs, outputs[1:]))):
+        weight = model.params[layer.params[0]] if layer.params else None
+        # A relu output is positive exactly where its input was.
+        if layer.kind in ("conv_relu", "dense_relu"):
+            dout = dout * (out > 0)
+        dparams = ()
+        if layer.kind == "embed":
+            # Add each position's gradient into its id's row, in position order, in float64.
+            vocab, dim = weight.shape
+            slots = (x.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
+            dembedding = np.bincount(slots, dout.reshape(-1), minlength=vocab * dim)
+            dparams = (dembedding.reshape(vocab, dim).astype(weight.dtype, copy=False),)
+        elif layer.kind == "conv_relu":
+            dout, *dparams = conv1d_backward(x, weight, dout)
+        elif layer.kind == "pool":
+            dout = maxpool1d_backward(dout, cache.winners[layer.name], x.shape)
+        elif layer.kind == "flatten":
+            dout = dout.reshape(x.shape)
+        else:
+            dout, *dparams = dense_backward(x, weight, dout)
+        grads.update(zip(layer.params, dparams))
+    return {name: grads[name] for name in PARAM_NAMES}
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import EmoticonLexicon
+from .corpus import CorpusError, EmoticonLexicon, read_utf8
 from .encode import Vocabulary
 from .nn import PARAM_NAMES, Model, ModelConfig
 from .train import TrainConfig
@@ -93,8 +93,8 @@ def load_model(model_dir) -> tuple[Model, Vocabulary, EmoticonLexicon, TrainConf
             raise PersistError(f"missing {path}")
 
     try:
-        data = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        data = json.loads(read_utf8(manifest_path))
+    except (CorpusError, json.JSONDecodeError) as exc:
         raise PersistError(f"unreadable manifest: {exc}") from exc
     if not isinstance(data, dict):
         raise PersistError("manifest must be a JSON object")

@@ -11,13 +11,13 @@ epoch from the history.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import CATEGORY_CODES, MODE_EMOTICON_TEXT, MODE_TEXT_ONLY, Tweet, preprocess
 from .encode import Vocabulary, encode, pad
-from .nn import ForwardCache, Model, RmsPropState, cross_entropy, model_backward, rmsprop_step
+from .nn import LAYERS, Model, RmsPropState, cross_entropy, model_backward, rmsprop_step
 
 __all__ = [
     "ConfusionMatrix",
@@ -191,19 +191,6 @@ def evaluate(model: Model, test_set: tuple[np.ndarray, np.ndarray]) -> tuple[flo
     return matrix.accuracy, matrix
 
 
-def _first_non_finite(cache: ForwardCache) -> str:
-    """Name of the first tensor, in forward order, holding a non-finite value.
-
-    After a non-finite loss there always is one: cross_entropy of finite
-    probabilities is finite.
-    """
-    arrays = ((item.name, getattr(cache, item.name)) for item in fields(cache))
-    return next(
-        name for name, value in arrays
-        if isinstance(value, np.ndarray) and not np.isfinite(value).all()
-    )
-
-
 def train_model(
     model: Model,
     train_set: tuple[np.ndarray, np.ndarray],
@@ -218,7 +205,8 @@ def train_model(
     reshuffles the training set with a seed of cfg.seed XOR the 1-based
     epoch number, so runs are reproducible yet batches vary by epoch.
     Raises TrainingDiverged if a batch loss stops being finite, naming
-    the epoch, the 1-based batch and the first non-finite activation.
+    the epoch, the 1-based batch and the first layer, in LAYERS order,
+    whose output is not finite.
     """
     train_ids, train_labels = np.asarray(train_set[0]), np.asarray(train_set[1])
     test_ids, test_labels = np.asarray(test_set[0]), np.asarray(test_set[1])
@@ -252,9 +240,12 @@ def train_model(
                 losses = cross_entropy(probs, targets)
                 batch_loss = float(losses.sum())
                 if not np.isfinite(batch_loss):
+                    # The loss of finite probabilities is finite, so some layer output is not.
+                    culprit = next(layer.name for layer in LAYERS
+                                   if not np.isfinite(getattr(cache, layer.name)).all())
                     raise TrainingDiverged(
                         f"non-finite loss in epoch {epoch}, batch {start // cfg.batch_size + 1}: "
-                        f"first non-finite tensor is {_first_non_finite(cache)}"
+                        f"first non-finite tensor is {culprit}"
                     )
                 loss_sum += batch_loss
                 correct += int(((probs.argmax(axis=-1) + 1) == train_labels[batch]).sum())

@@ -377,6 +377,29 @@ def test_eval_rejects_corrupted_weights(trained_run, tmp_path, capsys):
     assert "blob size mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_non_utf8_manifest_names_its_file_and_line(trained_run, tmp_path, capsys, command):
+    broken = tmp_path / "broken"
+    shutil.copytree(trained_run, broken)
+    manifest = broken / "model.json"
+    text = manifest.read_bytes()
+    manifest.write_bytes(text + b"\xff")
+    line = text.count(b"\n") + 1
+    if command == "eval":
+        argv = ["eval", "--model", str(broken), "--data", str(trained_run / "test.csv"),
+                "--out", str(tmp_path / "out")]
+    else:
+        argv = ["predict", "--model", str(broken), "--text", "hello"]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: ")
+    assert f"{manifest}, line {line}: not valid UTF-8 (invalid start byte at byte " in err_lines[0]
+    assert "Traceback" not in captured.err
+
+
 def test_eval_missing_model_dir_fails(trained_run, tmp_path, capsys):
     rc = cli_main(
         ["eval", "--model", str(tmp_path / "ghost"), "--data", str(trained_run / "test.csv")]

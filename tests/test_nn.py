@@ -579,7 +579,8 @@ def test_glorot_limits_respected():
     limits = {
         "conv1_kernel": np.sqrt(6.0 / (3 * 128 + 3 * 64)),
         "conv2_kernel": np.sqrt(6.0 / (3 * 64 + 3 * 32)),
-        "dense1_weight": np.sqrt(6.0 / (TINY.flatten_dim + 16)),
+        # At L=10, flat holds pool2's 1 step x 32 filters.
+        "dense1_weight": np.sqrt(6.0 / (1 * 32 + 16)),
         "dense2_weight": np.sqrt(6.0 / (16 + 4)),
     }
     for name, limit in limits.items():

@@ -101,6 +101,18 @@ def test_manifest_structure(tmp_path):
     weights = data["weights"]
     assert weights["file"] == WEIGHTS_NAME
     assert [entry["name"] for entry in weights["layout"]] == list(PARAM_NAMES)
+    # The order is part of the weights.bin format, so it is pinned here, not derived.
+    assert PARAM_NAMES == (
+        "embedding",
+        "conv1_kernel",
+        "conv1_bias",
+        "conv2_kernel",
+        "conv2_bias",
+        "dense1_weight",
+        "dense1_bias",
+        "dense2_weight",
+        "dense2_bias",
+    )
     assert weights["total_bytes"] == (target / WEIGHTS_NAME).stat().st_size
     offsets = [entry["offset"] for entry in weights["layout"]]
     assert offsets == sorted(offsets)

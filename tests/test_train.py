@@ -17,7 +17,7 @@ from emoticnn.corpus import (
     preprocess,
 )
 from emoticnn.encode import Vocabulary, fit_vocabulary
-from emoticnn.nn import ModelConfig, init_model, rmsprop_step
+from emoticnn.nn import PARAM_NAMES, ModelConfig, init_model, rmsprop_step
 from emoticnn.train import (
     ConfusionMatrix,
     EpochRecord,
@@ -327,6 +327,35 @@ def test_huge_learning_rate_raises_diverged():
     # The first update blows the weights up; the second batch's forward pass overflows.
     assert str(excinfo.value) == (
         "non-finite loss in epoch 1, batch 2: first non-finite tensor is dense1"
+    )
+
+
+# The layer whose output a NaN in each parameter first reaches.
+DIVERGING_LAYER = {
+    "embedding": "embedded",
+    "conv1_kernel": "conv1",
+    "conv1_bias": "conv1",
+    "conv2_kernel": "conv2",
+    "conv2_bias": "conv2",
+    "dense1_weight": "dense1",
+    "dense1_bias": "dense1",
+    "dense2_weight": "probs",
+    "dense2_bias": "probs",
+}
+
+
+@pytest.mark.parametrize("param", PARAM_NAMES)
+def test_divergence_names_the_layer_of_a_nan_parameter(param):
+    model, data, _ = make_training_setup()
+    ids, _ = data
+    assert (ids == 0).any()  # the NaN in embedding row 0 is looked up
+    model.params[param].flat[0] = np.nan
+    cfg = TrainConfig(batch_size=ids.shape[0], epochs=1, seed=0)
+    with pytest.raises(TrainingDiverged) as excinfo:
+        train_model(model, data, data, cfg, toy_vocab(), 10)
+    assert str(excinfo.value) == (
+        "non-finite loss in epoch 1, batch 1: "
+        f"first non-finite tensor is {DIVERGING_LAYER[param]}"
     )
 
 
