@@ -48,28 +48,33 @@ print(np.round(probs, 4))
 print("rows sum to", probs.sum(axis=1))
 
 # ------------------------------------------------------------------
-# 3. Loss and gradients. Cross-entropy over one-hot labels; the
-#    backward pass yields one gradient tensor per parameter tensor.
+# 3. Loss and gradients. Cross-entropy over the category codes 1-4,
+#    one per example; the backward pass yields one gradient tensor per
+#    parameter tensor.
 # ------------------------------------------------------------------
 
-onehot = np.eye(4)[[0, 2]]
-loss = cross_entropy(probs, onehot)
+labels = np.array([1, 3])
+loss = cross_entropy(probs, labels)
 print("\nper-example loss:", np.round(loss, 4))
 
-grads = model_backward(cache, onehot)
+grads = model_backward(cache, labels)
 print("gradient tensors:", ", ".join(f"{k}{list(v.shape)}" for k, v in grads.items()))
 
 # ------------------------------------------------------------------
 # 4. The gradient check. Every analytic gradient coordinate is
-#    compared against a central finite difference on a tiny model.
-#    This is slow by design (two forward passes per parameter) and
-#    is the backbone of the acceptance suite.
+#    compared against a central finite difference. That costs two
+#    forward passes per parameter, so the demo narrows every layer
+#    (355 parameters); the acceptance suite sweeps the full-width
+#    tiny model. The check takes its label as a one-hot row.
 # ------------------------------------------------------------------
 
-tiny = init_model(ModelConfig(vocab_size=10, L=10), seed=1)
+narrow = ModelConfig(
+    vocab_size=10, L=10, embed_dim=8, conv1_filters=6, conv2_filters=4, dense_hidden=5
+)
+tiny = init_model(narrow, seed=1)
+print("\nparameters in the narrow model:", sum(p.size for p in tiny.params.values()))
 tiny_ids = rng.integers(0, 10, size=(1, 10))
 tiny_onehot = np.eye(4)[[1]]
-print("\nrunning the full finite-difference sweep (about ten seconds)...")
 errors = gradient_check(tiny, tiny_ids, tiny_onehot)
 for name, err in errors.items():
     print(f"   {name:<13} max relative error {err:.2e}")

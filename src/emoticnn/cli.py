@@ -9,7 +9,6 @@ for usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -25,7 +24,7 @@ from .corpus import (
     generate_synthetic,
     load_dataset,
     preprocess,
-    read_utf8,
+    read_json,
     save_dataset,
     write_csv,
 )
@@ -140,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
-    data = json.loads(read_utf8(path))
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(data) - set(_DEFAULT_SETTINGS))

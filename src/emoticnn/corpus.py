@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,6 +96,15 @@ def read_utf8(path) -> str:
         raise CorpusError(
             f"{path}, line {line}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
         ) from None
+
+
+def read_json(path):
+    """The JSON value in the UTF-8 file at path; CorpusError names a syntax error's place."""
+    try:
+        return json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}, line {exc.lineno}, column {exc.colno}: "
+                          f"not valid JSON ({exc.msg})") from None
 
 
 def _normalize_phrase(phrase: str) -> str:

@@ -27,6 +27,7 @@ __all__ = [
     "Model",
     "ModelConfig",
     "RmsPropState",
+    "check_codes",
     "conv1d_backward",
     "conv1d_forward",
     "cross_entropy",
@@ -282,24 +283,35 @@ def softmax(z) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _validate_one_hot(onehot: np.ndarray) -> None:
-    if not np.all((onehot == 0) | (onehot == 1)) or not np.all(onehot.sum(axis=-1) == 1):
-        raise ValueError("labels must be one-hot rows")
+def _validate_one_hot(onehot: np.ndarray, classes: int) -> None:
+    rows_ok = np.all((onehot == 0) | (onehot == 1)) and np.all(onehot.sum(axis=-1) == 1)
+    if onehot.shape[-1] != classes or not rows_ok:
+        raise ValueError(f"labels must be one-hot rows of {classes} classes")
 
 
-def cross_entropy(probs, onehot) -> np.ndarray:
-    """Per-example loss -log(p_true), with p clamped to at least 1e-12.
+def check_codes(labels, classes: int, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """labels as an integer array of category codes 1..classes, of shape if given."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu" or shape not in (None, labels.shape):
+        raise ValueError(f"labels must be integer category codes of shape {shape}, "
+                         f"got {labels.dtype} of shape {labels.shape}")
+    if labels.size and (labels.min() < 1 or labels.max() > classes):
+        raise ValueError(f"labels must lie in [1, {classes}], got range "
+                         f"[{labels.min()}, {labels.max()}]")
+    return labels
 
-    probs and onehot share the shape (..., classes); the result drops the
-    class axis (a plain scalar for a single example).
+
+def cross_entropy(probs, labels) -> np.ndarray:
+    """Per-example loss -log(p_true) in float64, with p clamped to at least 1e-12.
+
+    probs has shape (..., classes) and labels holds the category codes
+    1..classes, shape (...); the result has the labels' shape (a plain
+    scalar for a single example).
     """
     probs = np.asarray(probs)
-    onehot = np.asarray(onehot)
-    if probs.shape != onehot.shape:
-        raise ValueError(f"probs shape {probs.shape} != labels shape {onehot.shape}")
-    _validate_one_hot(onehot)
-    p_true = (probs * onehot).sum(axis=-1)
-    return -np.log(np.maximum(p_true, LOSS_CLAMP))
+    labels = check_codes(labels, probs.shape[-1], probs.shape[:-1])
+    p_true = np.take_along_axis(probs, labels[..., None] - 1, axis=-1)[..., 0]
+    return -np.log(np.maximum(p_true.astype(np.float64), LOSS_CLAMP))
 
 
 class ForwardCache(SimpleNamespace):
@@ -315,10 +327,6 @@ class Model:
     config: ModelConfig
     params: dict[str, np.ndarray]
     _version: int = 0
-
-    def mark_updated(self) -> None:
-        """Record an in-place parameter update, invalidating existing caches."""
-        self._version += 1
 
     def forward(self, ids) -> tuple[np.ndarray, ForwardCache]:
         """Run the layer stack on a batch of padded id sequences.
@@ -355,12 +363,13 @@ class Model:
         )
 
 
-def model_backward(cache: ForwardCache, onehot) -> dict[str, np.ndarray]:
+def model_backward(cache: ForwardCache, labels) -> dict[str, np.ndarray]:
     """Backpropagate the batch-mean cross-entropy loss through the stack.
 
-    Returns one gradient tensor per parameter, shapes mirroring
-    Model.params, averaged over the batch dimension of the cached
-    forward pass. The cache must come from the current parameters.
+    labels holds one category code 1..classes per example. Returns one
+    gradient tensor per parameter, shapes mirroring Model.params,
+    averaged over the batch dimension of the cached forward pass. The
+    cache must come from the current parameters.
     """
     if cache is None:
         raise ValueError("model_backward requires the cache from a forward pass")
@@ -368,13 +377,12 @@ def model_backward(cache: ForwardCache, onehot) -> dict[str, np.ndarray]:
     if cache.version != model._version:
         raise ValueError("stale cache: parameters changed since this forward pass")
     probs = cache.probs
-    onehot = np.asarray(onehot, dtype=probs.dtype)
-    if onehot.shape != probs.shape:
-        raise ValueError(f"labels shape {onehot.shape} != probs shape {probs.shape}")
-    _validate_one_hot(onehot)
+    labels = check_codes(labels, probs.shape[-1], probs.shape[:-1])
 
     # Softmax and cross-entropy together: the mean loss's gradient at the logits is (p - y) / batch.
-    dout = (probs - onehot) / probs.shape[0]
+    dout = probs.copy()
+    dout[np.arange(labels.size), labels - 1] -= 1
+    dout /= probs.shape[0]
     grads: dict[str, np.ndarray] = {}
     outputs = [cache.ids, *(getattr(cache, layer.name) for layer in LAYERS)]
     for layer, x, out in reversed(list(zip(LAYERS, outputs, outputs[1:]))):
@@ -437,24 +445,15 @@ class RmsPropState:
     epsilon: float = 1e-7
     accumulators: dict[str, np.ndarray] = field(default_factory=dict)
 
-    @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], **hyperparameters) -> "RmsPropState":
-        """Zeroed accumulators for params; lr, rho and epsilon pass through."""
-        accumulators = {name: np.zeros_like(value) for name, value in params.items()}
-        return cls(accumulators=accumulators, **hyperparameters)
 
-
-def rmsprop_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: RmsPropState,
-) -> tuple[dict[str, np.ndarray], RmsPropState]:
-    """Apply one in-place RMSProp update.
+def rmsprop_step(model: Model, grads: dict[str, np.ndarray], state: RmsPropState) -> None:
+    """Apply one in-place RMSProp update to model.params.
 
     Per element: a <- rho * a + (1 - rho) * g^2, then
-    theta <- theta - lr * g / (sqrt(a) + epsilon). Returns the mutated
-    (params, state) pair for convenience.
+    theta <- theta - lr * g / (sqrt(a) + epsilon), with a missing a
+    starting at zero. Caches of earlier forward passes go stale.
     """
+    params = model.params
     if set(grads) != set(params):
         raise ValueError("gradient keys do not match parameter keys")
     for name, param in params.items():
@@ -467,11 +466,13 @@ def rmsprop_step(
             raise ValueError(f"non-finite gradient for {name}")
     for name, param in params.items():
         grad = grads[name]
-        acc = state.accumulators.setdefault(name, np.zeros_like(param))
+        acc = state.accumulators.get(name)
+        if acc is None:
+            acc = state.accumulators[name] = np.zeros_like(param)
         acc *= state.rho
         acc += (1.0 - state.rho) * grad * grad
         param -= state.lr * grad / (np.sqrt(acc) + state.epsilon)
-    return params, state
+    model._version += 1
 
 
 def gradient_check(
@@ -487,12 +488,14 @@ def gradient_check(
     if model.config.precision != "float64":
         raise ValueError("gradient_check requires a float64 model")
     onehot = np.atleast_2d(np.asarray(onehot, dtype=float))
+    _validate_one_hot(onehot, model.config.classes)
+    labels = onehot.argmax(axis=-1) + 1
     _, cache = model.forward(ids)
-    analytic = model_backward(cache, onehot)
+    analytic = model_backward(cache, labels)
 
     def loss() -> float:
         probs, _ = model.forward(ids)
-        return float(np.mean(cross_entropy(probs, onehot)))
+        return float(np.mean(cross_entropy(probs, labels)))
 
     errors: dict[str, float] = {}
     for name, theta in model.params.items():

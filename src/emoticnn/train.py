@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import CATEGORY_CODES, MODE_EMOTICON_TEXT, MODE_TEXT_ONLY, Tweet, preprocess
 from .encode import Vocabulary, encode, pad
-from .nn import LAYERS, Model, RmsPropState, cross_entropy, model_backward, rmsprop_step
+from .nn import LAYERS, Model, RmsPropState, check_codes, cross_entropy, model_backward, rmsprop_step
 
 __all__ = [
     "ConfusionMatrix",
@@ -119,11 +119,7 @@ class ConfusionMatrix:
 
 def one_hot(labels, classes: int = len(CATEGORY_CODES)) -> np.ndarray:
     """Turn category codes 1..classes into one-hot rows."""
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 1 or labels.max() > classes):
-        raise ValueError(f"labels must lie in [1, {classes}], got range "
-                         f"[{labels.min()}, {labels.max()}]")
-    return np.eye(classes)[labels - 1]
+    return np.eye(classes)[check_codes(labels, classes) - 1]
 
 
 def split_dataset(data: list[Tweet], ratio: float, seed: int) -> tuple[list[Tweet], list[Tweet]]:
@@ -224,7 +220,7 @@ def train_model(
         raise ValueError("training set is empty")
 
     n = train_ids.shape[0]
-    state = RmsPropState.for_params(model.params, lr=cfg.lr, rho=cfg.rho, epsilon=cfg.epsilon)
+    state = RmsPropState(lr=cfg.lr, rho=cfg.rho, epsilon=cfg.epsilon)
     history: History = []
     # A diverging run overflows long before its loss turns non-finite;
     # TrainingDiverged reports it, so numpy's own warnings would only repeat it.
@@ -235,9 +231,9 @@ def train_model(
             correct = 0
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                targets = one_hot(train_labels[batch])
+                labels = train_labels[batch]
                 probs, cache = model.forward(train_ids[batch])
-                losses = cross_entropy(probs, targets)
+                losses = cross_entropy(probs, labels)
                 batch_loss = float(losses.sum())
                 if not np.isfinite(batch_loss):
                     # The loss of finite probabilities is finite, so some layer output is not.
@@ -248,10 +244,9 @@ def train_model(
                         f"first non-finite tensor is {culprit}"
                     )
                 loss_sum += batch_loss
-                correct += int(((probs.argmax(axis=-1) + 1) == train_labels[batch]).sum())
-                grads = model_backward(cache, targets)
-                rmsprop_step(model.params, grads, state)
-                model.mark_updated()
+                correct += int(((probs.argmax(axis=-1) + 1) == labels).sum())
+                grads = model_backward(cache, labels)
+                rmsprop_step(model, grads, state)
             test_acc, _ = evaluate(model, (test_ids, test_labels))
             history.append(
                 EpochRecord(

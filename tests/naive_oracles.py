@@ -3,8 +3,8 @@
 Everything here shares no code with the package, so agreement is
 meaningful evidence of correctness. The ``naive_`` oracles are explicit
 Python loops; the others are the package's earlier numpy kernels (einsum
-convolution, argmax pooling, np.add.at scatter), kept to pin the fast
-kernels that replaced them.
+convolution, argmax pooling, np.add.at scatter, one-hot loss and logit
+gradient), kept to pin the kernels that replaced them.
 """
 
 from __future__ import annotations
@@ -96,6 +96,16 @@ def add_at_embedding_grad(ids, dembedded, vocab_size):
     grad = np.zeros((vocab_size, dim), dtype=dembedded.dtype)
     np.add.at(grad, np.asarray(ids).reshape(-1), dembedded.reshape(-1, dim))
     return grad
+
+
+def one_hot_cross_entropy(probs, onehot):
+    """-log(p_true) as the sum of probs times one-hot rows, clamped at 1e-12."""
+    return -np.log(np.maximum((probs * onehot).sum(axis=-1), 1e-12))
+
+
+def one_hot_logit_gradient(probs, onehot):
+    """The batch-mean loss's gradient at the logits, (p - y) / batch, y in probs' dtype."""
+    return (probs - np.asarray(onehot, dtype=probs.dtype)) / probs.shape[0]
 
 
 def naive_rmsprop(theta, grad, acc, lr, rho, epsilon):

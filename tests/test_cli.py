@@ -337,6 +337,20 @@ def test_non_object_config_fails(synth_csv, tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+def test_config_json_syntax_error_names_its_file(synth_csv, tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text('{"epochs": 2,\n}\n', encoding="utf-8")
+    argv = quick_train_args(synth_csv, tmp_path / "out") + ["--config", str(config)]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {config}, line 2, column 1: not valid JSON "
+        "(Expecting property name enclosed in double quotes)\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 # --------------------------------------------------------------- eval
 
 
@@ -398,6 +412,29 @@ def test_non_utf8_manifest_names_its_file_and_line(trained_run, tmp_path, capsys
     assert err_lines[0].startswith("error: ")
     assert f"{manifest}, line {line}: not valid UTF-8 (invalid start byte at byte " in err_lines[0]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_truncated_manifest_names_its_file_line_and_column(trained_run, tmp_path, capsys, command):
+    broken = tmp_path / "broken"
+    shutil.copytree(trained_run, broken)
+    manifest = broken / "model.json"
+    manifest.write_bytes(manifest.read_bytes()[:100])
+    with pytest.raises(json.JSONDecodeError) as excinfo:
+        json.loads(manifest.read_text(encoding="utf-8"))
+    where = f"line {excinfo.value.lineno}, column {excinfo.value.colno}"
+    if command == "eval":
+        argv = ["eval", "--model", str(broken), "--data", str(trained_run / "test.csv"),
+                "--out", str(tmp_path / "out")]
+    else:
+        argv = ["predict", "--model", str(broken), "--text", "hello"]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: unreadable manifest: {manifest}, {where}: "
+        f"not valid JSON ({excinfo.value.msg})\n"
+    )
 
 
 def test_eval_missing_model_dir_fails(trained_run, tmp_path, capsys):

@@ -20,6 +20,8 @@ from naive_oracles import (
     naive_conv1d,
     naive_maxpool1d,
     naive_rmsprop,
+    one_hot_cross_entropy,
+    one_hot_logit_gradient,
 )
 
 from emoticnn import nn
@@ -55,8 +57,12 @@ def tiny_model(seed: int = 1) -> Model:
 def tiny_batch(rng: np.random.Generator, batch: int = 2):
     ids = rng.integers(0, TINY.vocab_size, size=(batch, TINY.L))
     labels = rng.integers(1, 5, size=batch)
-    onehot = np.eye(4)[labels - 1]
-    return ids, onehot
+    return ids, labels
+
+
+def param_model(params: dict[str, np.ndarray]) -> Model:
+    """A Model holding just these parameters, for optimizer examples."""
+    return Model(config=TINY, params=params)
 
 
 # ------------------------------------------------- naive-oracle checks
@@ -171,7 +177,7 @@ def test_maxpool1d_winner_rule(pair, value, winner):
     assert winners.tolist() == [[winner]]
 
 
-def _embedding_grad_and_oracle(model: Model, ids, onehot):
+def _embedding_grad_and_oracle(model: Model, ids, labels):
     """model_backward's embedding gradient, and np.add.at of the same upstream gradient."""
     upstream = []
 
@@ -183,7 +189,7 @@ def _embedding_grad_and_oracle(model: Model, ids, onehot):
     _, cache = model.forward(ids)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nn, "conv1d_backward", recording_conv1d_backward)
-        grads = model_backward(cache, onehot)
+        grads = model_backward(cache, labels)
     # conv1's backward runs last; its input gradient is d(loss)/d(embedded).
     dembedded = upstream[-1].astype(np.float64)
     return grads["embedding"], add_at_embedding_grad(ids, dembedded, model.config.vocab_size)
@@ -202,8 +208,8 @@ def test_embedding_gradient_matches_add_at_oracle(ids, seed):
     ids = ids.copy()
     ids.flat[:3] = (0, last, last)
     rng = np.random.default_rng(seed)
-    onehot = np.eye(4)[rng.integers(0, 4, size=ids.shape[0])]
-    grad, oracle = _embedding_grad_and_oracle(init_model(TINY, seed % 1000), ids, onehot)
+    labels = rng.integers(1, 5, size=ids.shape[0])
+    grad, oracle = _embedding_grad_and_oracle(init_model(TINY, seed % 1000), ids, labels)
     assert grad.dtype == np.float64
     assert np.array_equal(grad, oracle)
 
@@ -212,8 +218,8 @@ def test_float32_embedding_gradient_is_float64_sum_rounded_once():
     config = ModelConfig(vocab_size=6, L=10, precision="float32")
     rng = np.random.default_rng(11)
     ids = rng.integers(0, config.vocab_size, size=(8, config.L))
-    onehot = np.eye(4)[rng.integers(0, 4, size=8)]
-    grad, oracle = _embedding_grad_and_oracle(init_model(config, 2), ids, onehot)
+    labels = rng.integers(1, 5, size=8)
+    grad, oracle = _embedding_grad_and_oracle(init_model(config, 2), ids, labels)
     assert grad.dtype == np.float32
     assert np.array_equal(grad, oracle.astype(np.float32))
 
@@ -402,25 +408,61 @@ def test_softmax_outputs_positive_and_sum_to_one(logits):
 
 
 def test_cross_entropy_perfect_prediction_is_near_zero():
-    loss = cross_entropy(np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
+    loss = cross_entropy(np.array([1.0, 0.0, 0.0, 0.0]), 1)
     assert 0.0 <= float(loss) < 1e-11
 
 
 def test_cross_entropy_uniform_is_ln4():
-    loss = cross_entropy(np.full(4, 0.25), np.array([0.0, 1.0, 0.0, 0.0]))
+    loss = cross_entropy(np.full(4, 0.25), 2)
     assert abs(float(loss) - np.log(4.0)) < 1e-12
 
 
 def test_cross_entropy_clamps_zero_probability():
-    loss = cross_entropy(np.array([0.0, 1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
+    loss = cross_entropy(np.array([0.0, 1.0, 0.0, 0.0]), 1)
     assert abs(float(loss) + np.log(LOSS_CLAMP)) < 1e-9
 
 
-def test_cross_entropy_rejects_non_one_hot():
-    with pytest.raises(ValueError, match="one-hot"):
-        cross_entropy(np.full(4, 0.25), np.array([0.5, 0.5, 0.0, 0.0]))
-    with pytest.raises(ValueError, match="one-hot"):
-        cross_entropy(np.full(4, 0.25), np.array([1.0, 1.0, 0.0, 0.0]))
+# Labels that both the loss and the backward pass must refuse, for a
+# batch of three examples: codes outside 1..4 (0 would silently pick
+# class 4 through labels - 1 == -1), float codes, and a wrong shape.
+BAD_LABELS = {
+    "code 0": np.array([1, 0, 2]),
+    "code 5": np.array([1, 5, 2]),
+    "float codes": np.array([1.0, 2.0, 3.0]),
+    "one-hot rows": np.eye(4, dtype=np.int64)[[0, 1, 2]],
+    "too few": np.array([1, 2]),
+}
+
+
+@pytest.mark.parametrize("labels", BAD_LABELS.values(), ids=BAD_LABELS.keys())
+def test_cross_entropy_rejects_bad_labels(labels):
+    probs = np.full((3, 4), 0.25)
+    with pytest.raises(ValueError, match="labels"):
+        cross_entropy(probs, labels)
+
+
+@pytest.mark.parametrize("labels", BAD_LABELS.values(), ids=BAD_LABELS.keys())
+def test_model_backward_rejects_bad_labels(labels):
+    _, cache = tiny_model().forward(np.zeros((3, 10), dtype=int))
+    with pytest.raises(ValueError, match="labels"):
+        model_backward(cache, labels)
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_codes_match_one_hot_oracles_bit_for_bit(precision):
+    model = init_model(ModelConfig(vocab_size=10, L=10, precision=precision), 4)
+    rng = np.random.default_rng(5)
+    ids, labels = tiny_batch(rng, batch=7)
+    onehot = np.eye(4)[labels - 1]
+    probs, cache = model.forward(ids)
+    loss = cross_entropy(probs, labels)
+    assert loss.dtype == np.float64
+    assert np.array_equal(loss, one_hot_cross_entropy(probs, onehot))
+    grads = model_backward(cache, labels)
+    # dL/db2 is the logits gradient summed over the batch (bias feeds logits 1:1).
+    expected = one_hot_logit_gradient(probs, onehot).sum(axis=0)
+    assert grads["dense2_bias"].dtype == probs.dtype
+    assert np.array_equal(grads["dense2_bias"], expected)
 
 
 def test_combined_logits_gradient_is_p_minus_y():
@@ -428,7 +470,7 @@ def test_combined_logits_gradient_is_p_minus_y():
     ids = np.arange(10).reshape(1, 10)
     probs, cache = model.forward(ids)
     onehot = np.array([[0.0, 1.0, 0.0, 0.0]])
-    grads = model_backward(cache, onehot)
+    grads = model_backward(cache, np.array([2]))
     # dL/db2 equals the logits gradient directly (bias feeds logits 1:1).
     assert np.allclose(grads["dense2_bias"], (probs - onehot)[0])
 
@@ -466,7 +508,7 @@ def test_unreferenced_embedding_rows_get_zero_gradient():
     model = tiny_model()
     ids = np.full((1, TINY.L), 2)  # touch only row 2
     _, cache = model.forward(ids)
-    grads = model_backward(cache, np.array([[1.0, 0.0, 0.0, 0.0]]))
+    grads = model_backward(cache, np.array([1]))
     touched = grads["embedding"][2]
     untouched = np.delete(grads["embedding"], 2, axis=0)
     assert np.any(touched != 0)
@@ -479,9 +521,9 @@ def test_unreferenced_embedding_rows_get_zero_gradient():
 def test_model_backward_shapes_mirror_params():
     model = tiny_model()
     rng = np.random.default_rng(0)
-    ids, onehot = tiny_batch(rng, batch=3)
+    ids, labels = tiny_batch(rng, batch=3)
     _, cache = model.forward(ids)
-    grads = model_backward(cache, onehot)
+    grads = model_backward(cache, labels)
     assert set(grads) == set(PARAM_NAMES)
     for name in PARAM_NAMES:
         assert grads[name].shape == model.params[name].shape
@@ -489,26 +531,35 @@ def test_model_backward_shapes_mirror_params():
 
 def test_model_backward_rejects_missing_cache():
     with pytest.raises(ValueError, match="cache"):
-        model_backward(None, np.eye(4)[:1])
+        model_backward(None, np.array([1]))
 
 
-def test_model_backward_rejects_stale_cache():
+def test_model_backward_rejects_cache_from_before_an_optimizer_step():
     model = tiny_model()
-    ids = np.arange(10).reshape(1, 10)
+    ids, labels = np.arange(10).reshape(1, 10), np.array([1])
     _, cache = model.forward(ids)
-    model.params["dense2_bias"] += 0.1
-    model.mark_updated()
+    rmsprop_step(model, model_backward(cache, labels), RmsPropState())
     with pytest.raises(ValueError, match="stale"):
-        model_backward(cache, np.eye(4)[:1])
+        model_backward(cache, labels)
+
+
+def test_forward_after_an_optimizer_step_backpropagates():
+    model = tiny_model()
+    ids, labels = np.arange(10).reshape(1, 10), np.array([1])
+    _, cache = model.forward(ids)
+    rmsprop_step(model, model_backward(cache, labels), RmsPropState())
+    _, fresh = model.forward(ids)
+    grads = model_backward(fresh, labels)
+    assert set(grads) == set(PARAM_NAMES)
+    assert all(np.isfinite(grad).all() for grad in grads.values())
 
 
 def test_dead_relu_blocks_gradient_upstream():
     model = tiny_model()
     model.params["conv1_bias"] -= 1e6  # force conv1 output fully negative
-    model.mark_updated()
     ids = np.arange(10).reshape(1, 10)
     _, cache = model.forward(ids)
-    grads = model_backward(cache, np.eye(4)[:1])
+    grads = model_backward(cache, np.array([1]))
     assert np.array_equal(grads["conv1_kernel"], np.zeros_like(grads["conv1_kernel"]))
     assert np.array_equal(grads["conv1_bias"], np.zeros_like(grads["conv1_bias"]))
     assert np.array_equal(grads["embedding"], np.zeros_like(grads["embedding"]))
@@ -518,13 +569,13 @@ def test_dead_relu_blocks_gradient_upstream():
 def test_sampled_coordinates_match_finite_differences():
     model = tiny_model(seed=6)
     rng = np.random.default_rng(11)
-    ids, onehot = tiny_batch(rng, batch=2)
+    ids, labels = tiny_batch(rng, batch=2)
     _, cache = model.forward(ids)
-    analytic = model_backward(cache, onehot)
+    analytic = model_backward(cache, labels)
 
     def loss():
         probs, _ = model.forward(ids)
-        return float(np.mean(cross_entropy(probs, onehot)))
+        return float(np.mean(cross_entropy(probs, labels)))
 
     for name in PARAM_NAMES:
         theta = model.params[name].reshape(-1)
@@ -547,6 +598,19 @@ def test_gradient_check_requires_float64():
     model = init_model(ModelConfig(vocab_size=10, L=10, precision="float32"), 0)
     with pytest.raises(ValueError, match="float64"):
         gradient_check(model, np.zeros((1, 10), dtype=int), np.eye(4)[:1])
+
+
+NOT_ONE_HOT = {
+    "three classes": np.eye(3)[:1],
+    "fractional": np.array([[0.5, 0.5, 0.0, 0.0]]),
+    "two hot": np.array([[1.0, 1.0, 0.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("onehot", NOT_ONE_HOT.values(), ids=NOT_ONE_HOT.keys())
+def test_gradient_check_rejects_labels_that_are_not_one_hot(onehot):
+    with pytest.raises(ValueError, match="one-hot"):
+        gradient_check(tiny_model(), np.zeros((1, 10), dtype=int), onehot)
 
 
 # ------------------------------------------------------------- init
@@ -604,8 +668,8 @@ def test_parameter_counts_for_length_64():
 
 def test_rmsprop_hand_example():
     params = {"w": np.zeros(1)}
-    state = RmsPropState.for_params(params)
-    rmsprop_step(params, {"w": np.array([3.0])}, state)
+    state = RmsPropState()
+    rmsprop_step(param_model(params), {"w": np.array([3.0])}, state)
     assert abs(state.accumulators["w"][0] - 0.9) < 1e-12
     assert abs(params["w"][0] + 0.003 / (np.sqrt(0.9) + 1e-7)) < 1e-12
 
@@ -613,17 +677,17 @@ def test_rmsprop_hand_example():
 def test_rmsprop_zero_gradient_decays_accumulator_only():
     params = {"w": np.array([1.5])}
     state = RmsPropState(accumulators={"w": np.array([4.0])})
-    rmsprop_step(params, {"w": np.zeros(1)}, state)
+    rmsprop_step(param_model(params), {"w": np.zeros(1)}, state)
     assert params["w"][0] == 1.5
     assert abs(state.accumulators["w"][0] - 3.6) < 1e-12
 
 
 def test_rmsprop_two_constant_steps_closed_form():
     g = 3.0
-    params = {"w": np.zeros(1)}
-    state = RmsPropState.for_params(params)
-    rmsprop_step(params, {"w": np.array([g])}, state)
-    rmsprop_step(params, {"w": np.array([g])}, state)
+    model = param_model({"w": np.zeros(1)})
+    state = RmsPropState()
+    rmsprop_step(model, {"w": np.array([g])}, state)
+    rmsprop_step(model, {"w": np.array([g])}, state)
     rho = state.rho
     assert abs(state.accumulators["w"][0] - (1 - rho**2) * g * g) < 1e-12
 
@@ -638,40 +702,38 @@ def test_rmsprop_matches_naive_oracle_elementwise():
         naive_rmsprop(t, g, a, state.lr, state.rho, state.epsilon)
         for t, g, a in zip(params["w"].copy(), grads["w"], acc0)
     ]
-    rmsprop_step(params, grads, state)
+    rmsprop_step(param_model(params), grads, state)
     for i, (theta, acc) in enumerate(expected):
         assert abs(params["w"][i] - theta) < 1e-15
         assert abs(state.accumulators["w"][i] - acc) < 1e-15
 
 
 def test_rmsprop_rejects_non_finite_gradient():
-    params = {"w": np.zeros(2)}
-    state = RmsPropState.for_params(params)
+    model = param_model({"w": np.zeros(2)})
     with pytest.raises(ValueError, match="non-finite"):
-        rmsprop_step(params, {"w": np.array([1.0, np.nan])}, state)
+        rmsprop_step(model, {"w": np.array([1.0, np.nan])}, RmsPropState())
 
 
 def test_rmsprop_rejects_mismatched_keys_and_shapes():
-    params = {"w": np.zeros(2)}
-    state = RmsPropState.for_params(params)
+    model = param_model({"w": np.zeros(2)})
+    state = RmsPropState()
     with pytest.raises(ValueError, match="keys"):
-        rmsprop_step(params, {"v": np.zeros(2)}, state)
+        rmsprop_step(model, {"v": np.zeros(2)}, state)
     with pytest.raises(ValueError, match="shape"):
-        rmsprop_step(params, {"w": np.zeros(3)}, state)
+        rmsprop_step(model, {"w": np.zeros(3)}, state)
 
 
 def test_fifty_steps_reduce_loss_on_fixed_example():
     model = tiny_model(seed=9)
     ids = np.random.default_rng(1).integers(0, 10, size=(1, 10))
-    onehot = np.array([[0.0, 0.0, 1.0, 0.0]])
-    state = RmsPropState.for_params(model.params)
+    labels = np.array([3])
+    state = RmsPropState()
     probs, cache = model.forward(ids)
-    initial = float(cross_entropy(probs, onehot)[0])
+    initial = float(cross_entropy(probs, labels)[0])
     for _ in range(50):
         probs, cache = model.forward(ids)
-        rmsprop_step(model.params, model_backward(cache, onehot), state)
-        model.mark_updated()
-    final = float(cross_entropy(model.forward(ids)[0], onehot)[0])
+        rmsprop_step(model, model_backward(cache, labels), state)
+    final = float(cross_entropy(model.forward(ids)[0], labels)[0])
     assert final < initial
 
 
@@ -751,7 +813,6 @@ def test_float32_pipeline_runs_and_keeps_dtype():
     ids = np.arange(10).reshape(1, 10)
     probs, cache = model.forward(ids)
     assert probs.dtype == np.float32
-    grads = model_backward(cache, np.eye(4, dtype=np.float32)[:1])
-    state = RmsPropState.for_params(model.params)
-    rmsprop_step(model.params, grads, state)
+    grads = model_backward(cache, np.array([1]))
+    rmsprop_step(model, grads, RmsPropState())
     assert all(p.dtype == np.float32 for p in model.params.values())

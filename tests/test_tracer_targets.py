@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from emoticnn import nn, train
+from emoticnn.encode import Vocabulary
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -43,7 +44,7 @@ def test_tracer_sees_every_layer_call_in_order():
     tracer.install()
     try:
         _, cache = model.forward(ids)
-        train.model_backward(cache, np.eye(4)[[0, 1, 2]])
+        train.model_backward(cache, np.array([1, 2, 3]))
     finally:
         tracer.uninstall()
 
@@ -64,4 +65,30 @@ def test_tracer_sees_every_layer_call_in_order():
         "nn.conv2.bwd",
         "nn.pool1.bwd",
         "nn.conv1.bwd",
+    ]
+
+
+def test_training_batch_calls_loss_backward_and_step_without_one_hot():
+    """A training batch passes its category codes straight to the loss and
+    the backward pass; no one-hot matrix is built on the way."""
+    model = nn.init_model(nn.ModelConfig(vocab_size=12, L=10), seed=0)
+    rng = np.random.default_rng(0)
+    data = (rng.integers(0, 12, size=(5, 10)), np.array([1, 2, 3, 4, 1]))
+    vocab = Vocabulary({f"w{i}": i + 2 for i in range(10)})
+    cfg = train.TrainConfig(batch_size=8, epochs=1)
+    tracer = SPANS.Tracer()
+    tracer.install()
+    try:
+        train.train_model(model, data, data, cfg, vocab, 10)
+    finally:
+        tracer.uninstall()
+
+    assert "train.one_hot" not in {span[1] for span in tracer.spans}
+    step = {"nn.forward", "nn.cross_entropy", "nn.backward", "nn.rmsprop"}
+    # Calls made by the loop itself have no parent span; evaluate()'s forward pass has one.
+    assert [name for parent, name, *_ in tracer.spans if parent == -1 and name in step] == [
+        "nn.forward",
+        "nn.cross_entropy",
+        "nn.backward",
+        "nn.rmsprop",
     ]

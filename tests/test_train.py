@@ -192,7 +192,6 @@ def test_evaluate_zero_model_predicts_lowest_code():
     model = init_model(ModelConfig(vocab_size=10, L=10), 0)
     for name in model.params:
         model.params[name][...] = 0.0
-    model.mark_updated()
     ids, labels = toy_dataset()
     accuracy, matrix = evaluate(model, (ids, labels))
     assert np.array_equal(matrix.counts[:, 0], matrix.row_totals())
@@ -288,9 +287,9 @@ def test_train_model_seed_changes_trajectory():
 def test_single_oversized_batch_takes_one_step_per_epoch(monkeypatch):
     calls = []
 
-    def counting_step(params, grads, state):
+    def counting_step(model, grads, state):
         calls.append(True)
-        return rmsprop_step(params, grads, state)
+        return rmsprop_step(model, grads, state)
 
     monkeypatch.setattr(train_module, "rmsprop_step", counting_step)
     model, data, _ = make_training_setup()
@@ -302,9 +301,9 @@ def test_single_oversized_batch_takes_one_step_per_epoch(monkeypatch):
 def test_batches_per_epoch_counts_partial_batch(monkeypatch):
     calls = []
 
-    def counting_step(params, grads, state):
+    def counting_step(model, grads, state):
         calls.append(True)
-        return rmsprop_step(params, grads, state)
+        return rmsprop_step(model, grads, state)
 
     monkeypatch.setattr(train_module, "rmsprop_step", counting_step)
     model, data, _ = make_training_setup()  # 16 examples
@@ -365,6 +364,16 @@ def test_train_model_validates_geometry():
         train_model(model, data, data, cfg, toy_vocab(), 12)
     with pytest.raises(ValueError, match="vocab"):
         train_model(model, data, data, cfg, toy_vocab(vocab_size=50), 10)
+
+
+@pytest.mark.parametrize("code", [0, 5])
+def test_train_model_rejects_label_codes_outside_1_to_4(code):
+    model, (ids, labels), _ = make_training_setup()
+    labels = labels.copy()
+    labels[3] = code
+    cfg = TrainConfig(batch_size=999, epochs=1)
+    with pytest.raises(ValueError, match=r"labels must lie in \[1, 4\]"):
+        train_model(model, (ids, labels), (ids, labels), cfg, toy_vocab(), 10)
 
 
 def test_train_config_validation():
