@@ -27,7 +27,6 @@ __all__ = [
     "Model",
     "ModelConfig",
     "RmsPropState",
-    "check_codes",
     "conv1d_backward",
     "conv1d_forward",
     "cross_entropy",

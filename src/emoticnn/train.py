@@ -171,9 +171,8 @@ def confusion_matrix(preds, labels) -> ConfusionMatrix:
     for name, codes in (("prediction", preds), ("label", labels)):
         if codes.size and (codes.min() < 1 or codes.max() > size):
             raise ValueError(f"{name} codes must lie in [1, {size}]")
-    counts = np.zeros((size, size), dtype=np.int64)
-    np.add.at(counts, (labels - 1, preds - 1), 1)
-    return ConfusionMatrix(counts)
+    # Entry (i, j) of the product counts the posts of code i+1 predicted as j+1.
+    return ConfusionMatrix(one_hot(labels, size).T @ one_hot(preds, size))
 
 
 def evaluate(model: Model, test_set: tuple[np.ndarray, np.ndarray]) -> tuple[float, ConfusionMatrix]:

@@ -98,6 +98,13 @@ def add_at_embedding_grad(ids, dembedded, vocab_size):
     return grad
 
 
+def add_at_confusion_counts(preds, labels, classes=4):
+    """Confusion counts by scattering a 1 at (label - 1, prediction - 1) per post."""
+    counts = np.zeros((classes, classes), dtype=np.int64)
+    np.add.at(counts, (np.asarray(labels) - 1, np.asarray(preds) - 1), 1)
+    return counts
+
+
 def one_hot_cross_entropy(probs, onehot):
     """-log(p_true) as the sum of probs times one-hot rows, clamped at 1e-12."""
     return -np.log(np.maximum((probs * onehot).sum(axis=-1), 1e-12))

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from naive_oracles import add_at_confusion_counts
 
 import emoticnn.train as train_module
 from emoticnn.corpus import (
@@ -132,6 +133,15 @@ def test_confusion_matrix_row_totals_are_class_supports():
     matrix = confusion_matrix(predicted, actual)
     assert matrix.row_totals() == [1001, 1001, 1001, 1000]
     assert matrix.total == 4003
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 4003])
+def test_confusion_matrix_matches_add_at_oracle(n):
+    rng = np.random.default_rng(n)
+    preds, labels = rng.integers(1, 5, size=(2, n))
+    matrix = confusion_matrix(preds, labels)
+    assert matrix.counts.dtype == np.int64
+    assert np.array_equal(matrix.counts, add_at_confusion_counts(preds, labels))
 
 
 def test_confusion_matrix_rejects_bad_input():
