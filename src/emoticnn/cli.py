@@ -37,6 +37,7 @@ from .train import (
     TrainConfig,
     TrainingDiverged,
     encode_dataset,
+    encode_texts,
     evaluate,
     split_dataset,
     train_model,
@@ -218,8 +219,9 @@ def _run_training(
         raise CorpusError(
             f"the train/test split of {len(tweets)} post(s) left the training part empty"
         )
-    vocab = fit_vocabulary(preprocess(t.text, lexicon, mode) for t in train_tweets)
-    train_arrays = encode_dataset(train_tweets, vocab, lexicon, mode, length)
+    train_texts = [preprocess(t.text, lexicon, mode) for t in train_tweets]
+    vocab = fit_vocabulary(train_texts)
+    train_arrays = encode_texts(train_texts, [t.label for t in train_tweets], vocab, length)
     test_arrays = encode_dataset(test_tweets, vocab, lexicon, mode, length)
 
     model_cfg = ModelConfig(

@@ -9,7 +9,10 @@ A tweet goes through two text stages before encoding:
 
 Emoji are matched as extended grapheme clusters with longest-match
 scanning, so multi-codepoint emoji (variation selectors, ZWJ sequences,
-skin tones) behave as single units.
+skin tones) behave as single units. The scan is one compiled ``regex``
+pass that takes each run of the characters cleaning keeps
+(``[a-z0-9' ]``) whole; only the other clusters, and the characters
+that begin a lexicon key, reach the Python loop that looks keys up.
 
 Because the original tweet collection is not public, this module also
 provides a deterministic synthetic dataset generator whose labels are
@@ -35,6 +38,10 @@ CATEGORY_NAMES = {1: "Sad", 2: "Happy", 3: "Love", 4: "Angry"}
 _BASIC_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789' ")
 
 _GRAPHEME_RE = regex.compile(r"\X")
+# Asserts that the next character does not join the one before it into a
+# cluster. After a basic character only these classes do (UAX #29 rules
+# GB9 and GB9a), so a run of basic characters ends at a cluster boundary.
+_UNEXTENDED = r"(?![\p{GCB=Extend}\p{GCB=ZWJ}\p{GCB=SpacingMark}])"
 _URL_RE = regex.compile(r"(?<!\S)https?://\S+")
 _MENTION_RE = regex.compile(r"(?<!\S)@\S+")
 _WS_RE = regex.compile(r"\s+")
@@ -122,13 +129,15 @@ class EmoticonLexicon:
         self.entries: dict[str, str] = {
             emoji: _normalize_phrase(phrase) for emoji, phrase in entries.items()
         }
-        self._by_clusters: dict[tuple[str, ...], str] = {
-            tuple(_GRAPHEME_RE.findall(emoji)): phrase
-            for emoji, phrase in self.entries.items()
-        }
         self._max_key_clusters = max(
-            (len(key) for key in self._by_clusters), default=0
+            (len(_GRAPHEME_RE.findall(emoji)) for emoji in self.entries), default=0
         )
+        # The scan takes a run of basic characters whole. Characters that
+        # begin a key are left out of runs, so each place a key can start
+        # is the start of a token.
+        run_chars = _BASIC_CHARS.difference(emoji[:1] for emoji in self.entries)
+        runs = "".join(map(regex.escape, sorted(run_chars)))
+        self._tokens = regex.compile(rf"([{runs}]+){_UNEXTENDED}|\X" if runs else r"\X")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -181,42 +190,48 @@ def clean(raw: str) -> str:
 
     Lowercases, drops @-mention and URL tokens whole, turns '#' and all
     other ASCII punctuation into spaces (apostrophes inside words
-    survive), and collapses whitespace. Idempotent.
+    survive), and collapses whitespace, as ``str.split`` sees it, into
+    single spaces. Idempotent.
     """
     text = raw.lower()
     text = _URL_RE.sub(" ", text)
     text = _MENTION_RE.sub(" ", text)
     text = _PUNCT_RE.sub(" ", text)
-    return _WS_RE.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
 def _scan(text: str, lexicon: EmoticonLexicon, replace: bool) -> str:
-    clusters = _GRAPHEME_RE.findall(text)
-    table = lexicon._by_clusters
+    phrases = lexicon.entries
     max_len = lexicon._max_key_clusters
+    token_at = lexicon._tokens.match
     parts: list[str] = []
-    i = 0
-    n = len(clusters)
-    while i < n:
-        matched = False
-        for width in range(min(max_len, n - i), 0, -1):
-            phrase = table.get(tuple(clusters[i : i + width]))
+    pos = 0
+    end = len(text)
+    while pos < end:
+        start = pos
+        token = token_at(text, pos)
+        pos = token.end()
+        if token.lastindex:
+            parts.append(token[1])
+            continue
+        # A key may start at this cluster. A key matches where the text
+        # spells it out and a cluster ends right after it, so try the
+        # longest run of clusters a key can span first.
+        ends = [pos]
+        while len(ends) < max_len and ends[-1] < end:
+            ends.append(_GRAPHEME_RE.match(text, ends[-1]).end())
+        for stop in reversed(ends):
+            phrase = phrases.get(text[start:stop])
             if phrase is not None:
-                if replace:
-                    parts.append(f" {phrase} ")
-                else:
-                    parts.append(" ")
-                i += width
-                matched = True
+                parts.append(f" {phrase} " if replace else " ")
+                pos = stop
                 break
-        if not matched:
-            cluster = clusters[i]
-            if all(ch in _BASIC_CHARS for ch in cluster):
-                parts.append(cluster)
-            else:
-                parts.append(" ")
-            i += 1
-    return _WS_RE.sub(" ", "".join(parts)).strip()
+        else:
+            parts.append(token[0] if token[0] in _BASIC_CHARS else " ")
+    # Outside phrases the only whitespace left is U+0020, and phrases are
+    # collapsed and stripped already, so splitting on " " alone does what
+    # a \s+ collapse would; U+001C-U+001F inside a phrase stay put.
+    return " ".join(filter(None, "".join(parts).split(" ")))
 
 
 def replace_emoticons(text: str, lexicon: EmoticonLexicon) -> str:

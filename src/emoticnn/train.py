@@ -27,6 +27,7 @@ __all__ = [
     "TrainingDiverged",
     "confusion_matrix",
     "encode_dataset",
+    "encode_texts",
     "evaluate",
     "one_hot",
     "predict_codes",
@@ -142,10 +143,18 @@ def encode_dataset(
     tweets: list[Tweet], vocab: Vocabulary, lexicon, mode: str, length: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Preprocess, encode, and pad tweets into (ids, labels) arrays."""
-    rows = [pad(encode(preprocess(t.text, lexicon, mode), vocab), length) for t in tweets]
-    ids = np.asarray(rows, dtype=np.int64).reshape(len(tweets), length)
-    labels = np.asarray([t.label for t in tweets], dtype=np.int64)
-    return ids, labels
+    texts = (preprocess(t.text, lexicon, mode) for t in tweets)
+    return encode_texts(texts, [t.label for t in tweets], vocab, length)
+
+
+def encode_texts(texts, labels, vocab: Vocabulary, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Encode and pad already preprocessed texts into (ids, labels) arrays.
+
+    texts may be a generator; each text is dropped once it is encoded.
+    """
+    rows = [pad(encode(text, vocab), length) for text in texts]
+    ids = np.asarray(rows, dtype=np.int64).reshape(len(rows), length)
+    return ids, np.asarray(labels, dtype=np.int64)
 
 
 def predict_codes(model: Model, ids: np.ndarray) -> np.ndarray:

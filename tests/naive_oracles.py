@@ -4,12 +4,22 @@ Everything here shares no code with the package, so agreement is
 meaningful evidence of correctness. The ``naive_`` oracles are explicit
 Python loops; the others are the package's earlier numpy kernels (einsum
 convolution, argmax pooling, np.add.at scatter, one-hot loss and logit
-gradient), kept to pin the kernels that replaced them.
+gradient) and its earlier text stages (a whitespace collapse by regex
+and an emoticon scan that walks every grapheme cluster in Python), kept
+to pin the fast paths that replaced them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import regex
+
+_GRAPHEME_RE = regex.compile(r"\X")
+_WS_RE = regex.compile(r"\s+")
+_BASIC_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789' ")
+_URL_RE = regex.compile(r"(?<!\S)https?://\S+")
+_MENTION_RE = regex.compile(r"(?<!\S)@\S+")
+_PUNCT_RE = regex.compile(r"(?!(?<=[^\W_])'(?=[^\W_]))[!-/:-@\[-`{-~]")
 
 
 def naive_conv1d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -141,3 +151,52 @@ def naive_fit_vocabulary(texts, size_cap=None) -> dict[str, int]:
     if size_cap is not None:
         ranked = ranked[: size_cap - 2]
     return {word: index for index, word in enumerate(ranked, start=2)}
+
+
+def cluster_walk_scan(text: str, entries: dict[str, str], replace: bool) -> str:
+    """Emoticon replacement (or deletion) by a walk over every grapheme cluster.
+
+    entries maps each key to its already normalised phrase, as
+    EmoticonLexicon.entries does. At each cluster the longest key, counted
+    in clusters, wins; a cluster no key covers survives only if it is one
+    of the characters cleaning keeps.
+    """
+    table = {tuple(_GRAPHEME_RE.findall(emoji)): phrase for emoji, phrase in entries.items()}
+    max_len = max((len(key) for key in table), default=0)
+    clusters = _GRAPHEME_RE.findall(text)
+    parts: list[str] = []
+    i = 0
+    n = len(clusters)
+    while i < n:
+        matched = False
+        for width in range(min(max_len, n - i), 0, -1):
+            phrase = table.get(tuple(clusters[i : i + width]))
+            if phrase is not None:
+                if replace:
+                    parts.append(f" {phrase} ")
+                else:
+                    parts.append(" ")
+                i += width
+                matched = True
+                break
+        if not matched:
+            cluster = clusters[i]
+            if all(ch in _BASIC_CHARS for ch in cluster):
+                parts.append(cluster)
+            else:
+                parts.append(" ")
+            i += 1
+    return _WS_RE.sub(" ", "".join(parts)).strip()
+
+
+def regex_whitespace_clean(raw: str) -> str:
+    """Microblog cleaning that collapses whitespace as regex's \\s+ sees it.
+
+    Unlike str.split, \\s does not match U+001C-U+001F, so those
+    characters survive here, inside words, instead of becoming spaces.
+    """
+    text = raw.lower()
+    text = _URL_RE.sub(" ", text)
+    text = _MENTION_RE.sub(" ", text)
+    text = _PUNCT_RE.sub(" ", text)
+    return _WS_RE.sub(" ", text).strip()

@@ -5,8 +5,9 @@ from __future__ import annotations
 import collections
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from naive_oracles import cluster_walk_scan, regex_whitespace_clean
 
 from emoticnn.corpus import (
     CATEGORY_CODES,
@@ -60,6 +61,12 @@ def test_clean_preserves_emoji():
 
 def test_clean_collapses_whitespace():
     assert clean("  a\t\tb \n c  ") == "a b c"
+
+
+def test_clean_turns_information_separators_into_spaces():
+    # str.split counts U+001C-U+001F as whitespace; regex's \s does not.
+    assert clean("a\x1cb\x1dc\x1ed\x1fe") == "a b c d e"
+    assert regex_whitespace_clean("a\x1cb") == "a\x1cb"
 
 
 @settings(max_examples=200)
@@ -178,6 +185,63 @@ def test_longest_key_wins():
 def test_strip_removes_known_and_unknown_emoji():
     lexicon = EmoticonLexicon.default()
     assert strip_emoticons(f"a {SMILING} b {FAMILY_ZWJ} c", lexicon) == "a b c"
+
+
+# Pieces of text that stress the scan: letters that begin or end keys,
+# combining marks (U+0301 Extend, U+200D ZWJ, U+0903 SpacingMark) that
+# join the letter before them, a Prepend mark (U+0600) that joins the
+# letter after it, regional-indicator pairs, VS16, CR/LF and the
+# information separators U+001C-U+001F.
+_PIECES = [
+    "a", "b", "e", "l", "o", "3", " ", "'", "<", ":", ")", "A", "#", "_", "\t",
+    "\r", "\n", "\r\n", "\x1c", "\x1d", "\x1e", "\x1f", "\u0301", "\u200d",
+    "\u0903", "\u0600", "\U0001F1EB", "\U0001F1F7", "\ufe0f", SMILING, "\U0001F468",
+]
+_TEXTS = st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)
+# Keys of several clusters, keys of basic characters only ("lol", "a b"),
+# mixed keys ("<3") and keys whose last cluster absorbs a following mark.
+_KEYS = st.one_of(
+    st.sampled_from(["lol", "a b", "<3", "lo", "e", SMILING * 2, SPEECH, "\U0001F468\u200d"]),
+    st.lists(st.sampled_from(_PIECES), min_size=1, max_size=4).map("".join),
+)
+_LEXICONS = st.one_of(
+    st.just(EmoticonLexicon.default()),
+    st.dictionaries(
+        _KEYS, st.sampled_from(["laugh", "Two  Words", " heart ", "x\x1cy"]), max_size=6
+    ).map(EmoticonLexicon),
+)
+
+
+@settings(max_examples=400)
+@given(_TEXTS, _LEXICONS)
+@example("lol\u0301 lol lolol", EmoticonLexicon({"lol": "laugh"}))
+@example("a b a\u0903 b", EmoticonLexicon({"a b": "ab"}))
+@example("love <3 you <3\u200d", EmoticonLexicon({"<3": "heart", "<": "lt"}))
+@example("lo\u0301 \u0600lo", EmoticonLexicon({"lo": "low", "l": "el"}))
+@example(f"{SMILING * 3}\U0001F1EB\U0001F1F7\U0001F1EB", EmoticonLexicon({SMILING * 2: "two"}))
+def test_replace_and_strip_match_the_cluster_walk(text, lexicon):
+    for candidate in (text, clean(text)):
+        assert replace_emoticons(candidate, lexicon) == cluster_walk_scan(
+            candidate, lexicon.entries, replace=True
+        )
+        assert strip_emoticons(candidate, lexicon) == cluster_walk_scan(
+            candidate, lexicon.entries, replace=False
+        )
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from([*_PIECES, "@u", "https://t.co/x", "x\x1c@u"]), max_size=40).map("".join))
+@example("a\x1cb \x1d\x1e\x1f c\x1f" + SMILING)
+def test_preprocess_output_unchanged_by_split_whitespace(text):
+    """Separators that clean now turns into spaces were deleted by the scan before."""
+    lexicon = EmoticonLexicon.default()
+    before = regex_whitespace_clean(text)
+    assert preprocess(text, lexicon, MODE_EMOTICON_TEXT) == cluster_walk_scan(
+        before, lexicon.entries, replace=True
+    )
+    assert preprocess(text, lexicon, MODE_TEXT_ONLY) == cluster_walk_scan(
+        before, lexicon.entries, replace=False
+    )
 
 
 def test_preprocess_dispatches_on_mode():

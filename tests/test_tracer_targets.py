@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emoticnn import nn, train
+from emoticnn import cli, corpus, nn, train
 from emoticnn.encode import Vocabulary
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -98,3 +98,34 @@ def test_training_batch_calls_loss_backward_and_step_without_one_hot():
         "nn.backward",
         "nn.rmsprop",
     ]
+
+
+@pytest.mark.parametrize("mode", [corpus.MODE_EMOTICON_TEXT, corpus.MODE_TEXT_ONLY])
+def test_preprocess_calls_clean_and_normalize_once_each(mode):
+    """corpus.clean_us and corpus.normalize_us exist only while preprocess
+    calls clean and then the emoticon pass as corpus module globals."""
+    tracer = SPANS.Tracer()
+    tracer.install()
+    try:
+        corpus.preprocess("Great DAY \U0001F60A", corpus.EmoticonLexicon.default(), mode)
+    finally:
+        tracer.uninstall()
+
+    assert [(parent, name) for parent, name, *_ in tracer.spans] == [
+        (-1, "corpus.preprocess"),
+        (0, "corpus.clean"),
+        (0, "corpus.normalize"),
+    ]
+
+
+def test_train_preprocesses_each_post_once(synth_csv, tmp_path):
+    tracer = SPANS.Tracer()
+    tracer.install()
+    try:
+        argv = ["train", "--data", str(synth_csv), "--out", str(tmp_path / "model"), "--epochs", "1"]
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+
+    calls = sum(name == "corpus.preprocess" for _, name, *_ in tracer.spans)
+    assert calls == len(corpus.load_dataset(synth_csv))
