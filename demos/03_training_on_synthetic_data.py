@@ -14,6 +14,7 @@ from emoticnn import (
     TrainConfig,
     encode,
     encode_dataset,
+    encode_texts,
     evaluate,
     fit_vocabulary,
     generate_synthetic,
@@ -46,8 +47,10 @@ lexicon = EmoticonLexicon.default()
 mode = MODE_EMOTICON_TEXT
 length = 18
 
-vocab = fit_vocabulary(preprocess(t.text, lexicon, mode) for t in train_tweets)
-train_arrays = encode_dataset(train_tweets, vocab, lexicon, mode, length)
+# Preprocess the training posts once: the vocabulary and the tensors use the same texts.
+train_texts = [preprocess(t.text, lexicon, mode) for t in train_tweets]
+vocab = fit_vocabulary(train_texts)
+train_arrays = encode_texts(train_texts, [t.label for t in train_tweets], vocab, length)
 test_arrays = encode_dataset(test_tweets, vocab, lexicon, mode, length)
 print(f"vocabulary: {vocab.size} indices; tensors: {train_arrays[0].shape}")
 

@@ -16,6 +16,7 @@ from emoticnn import (
     ModelConfig,
     TrainConfig,
     encode_dataset,
+    encode_texts,
     fit_vocabulary,
     generate_synthetic,
     init_model,
@@ -46,8 +47,9 @@ length = 18
 
 results = {}
 for mode in (MODE_EMOTICON_TEXT, MODE_TEXT_ONLY):
-    vocab = fit_vocabulary(preprocess(t.text, lexicon, mode) for t in train_tweets)
-    train_arrays = encode_dataset(train_tweets, vocab, lexicon, mode, length)
+    train_texts = [preprocess(t.text, lexicon, mode) for t in train_tweets]
+    vocab = fit_vocabulary(train_texts)
+    train_arrays = encode_texts(train_texts, [t.label for t in train_tweets], vocab, length)
     test_arrays = encode_dataset(test_tweets, vocab, lexicon, mode, length)
     model = init_model(ModelConfig(vocab_size=vocab.size, L=length), seed=1)
     cfg = TrainConfig(batch_size=32, epochs=10, seed=1, mode=mode)

@@ -46,6 +46,7 @@ from .train import (
     TrainingDiverged,
     confusion_matrix,
     encode_dataset,
+    encode_texts,
     evaluate,
     one_hot,
     predict_codes,
@@ -82,6 +83,7 @@ __all__ = [
     "cross_entropy",
     "encode",
     "encode_dataset",
+    "encode_texts",
     "evaluate",
     "fit_vocabulary",
     "generate_synthetic",

@@ -4,7 +4,8 @@ Everything here shares no code with the package, so agreement is
 meaningful evidence of correctness. The ``naive_`` oracles are explicit
 Python loops; the others are the package's earlier numpy kernels (einsum
 convolution, argmax pooling, np.add.at scatter, one-hot loss and logit
-gradient) and its earlier text stages (a whitespace collapse by regex
+gradient), its earlier forward pass (which does call the package's layer
+functions) and its earlier text stages (a whitespace collapse by regex
 and an emoticon scan that walks every grapheme cluster in Python), kept
 to pin the fast paths that replaced them.
 """
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 import regex
+
+from emoticnn import nn
 
 _GRAPHEME_RE = regex.compile(r"\X")
 _WS_RE = regex.compile(r"\s+")
@@ -87,6 +90,37 @@ def einsum_conv1d_backward(x, kernel, dout):
         dkernel[offset] = np.einsum("btc,btf->cf", window, batched_dout)
         dx[..., offset : offset + t_out, :] += np.einsum("...tf,cf->...tc", dout, kernel[offset])
     return dx, dkernel, dbias
+
+
+def gemm_model_forward(model, ids):
+    """Model.forward as it was before conv1 projected distinct rows: embed
+    every position, then one GEMM per conv1 tap over the whole batch."""
+    cfg = model.config
+    ids = np.asarray(ids)
+    if ids.ndim == 1:
+        ids = ids[None, :]
+    if ids.ndim != 2 or ids.shape[1] != cfg.L:
+        raise ValueError(f"expected ids of shape (batch, {cfg.L}), got {ids.shape}")
+    params, x, outputs, winners = model.params, ids, {}, {}
+    for layer, shape in zip(nn.LAYERS, cfg.shape_chain()):
+        weights = [params[name] for name in layer.params]
+        if layer.kind == "embed":
+            x = nn.embedding_forward(x, *weights)
+        elif layer.kind == "conv_relu":
+            x = nn.relu(nn.conv1d_forward(x, *weights))
+        elif layer.kind == "pool":
+            x, winners[layer.name] = nn.maxpool1d(x)
+        elif layer.kind == "flatten":
+            x = x.reshape(x.shape[0], -1)
+        elif layer.kind == "dense_relu":
+            x = nn.relu(nn.dense_forward(x, *weights))
+        else:
+            x = nn.softmax(nn.dense_forward(x, *weights))
+        assert x.shape[1:] == shape, (layer.name, x.shape)
+        outputs[layer.name] = x
+    return x, nn.ForwardCache(
+        model=model, version=model._version, ids=ids, winners=winners, **outputs
+    )
 
 
 def argmax_maxpool1d(x) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,9 @@ import sys
 import warnings
 
 import pytest
+from naive_oracles import gemm_model_forward
 
+from emoticnn import nn
 from emoticnn.cli import main as cli_main
 from emoticnn.corpus import MODE_EMOTICON_TEXT, MODE_TEXT_ONLY, load_dataset
 from emoticnn.persist import load_model
@@ -559,6 +561,22 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
         assert result.returncode == 0, result.stderr
     for name in ("model.json", "weights.bin", "history.csv"):
         assert (tmp_path / "run1" / name).read_bytes() == (tmp_path / "run2" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_train_artifacts_match_the_gemm_forward_byte_for_byte(synth_csv, tmp_path, monkeypatch,
+                                                              precision):
+    """conv1 from distinct rows relies on BLAS rounding a row of A @ B the
+    same whatever A's row count; a whole run pins it against the oracle."""
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps({"precision": precision}))
+    argv = [*quick_train_args(synth_csv, tmp_path / "fold"), "--config", str(config)]
+    assert cli_main(argv) == 0
+    monkeypatch.setattr(nn.Model, "forward", gemm_model_forward)
+    argv = [*quick_train_args(synth_csv, tmp_path / "gemm"), "--config", str(config)]
+    assert cli_main(argv) == 0
+    for name in ("weights.bin", "model.json", "history.csv", "confusion.csv"):
+        assert (tmp_path / "fold" / name).read_bytes() == (tmp_path / "gemm" / name).read_bytes(), name
 
 
 # ----------------------------------------------------- installed script

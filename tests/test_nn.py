@@ -6,9 +6,11 @@ examples pin the semantics before anything touches the full model.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,6 +19,7 @@ from naive_oracles import (
     argmax_maxpool1d,
     einsum_conv1d_backward,
     einsum_conv1d_forward,
+    gemm_model_forward,
     naive_conv1d,
     naive_maxpool1d,
     naive_rmsprop,
@@ -804,6 +807,96 @@ def test_forward_promotes_single_sequence():
     model = tiny_model()
     probs, _ = model.forward(np.zeros(10, dtype=int))
     assert probs.shape == (1, 4)
+
+
+def _fold_case_ids(rng, batch, length, vocab, pattern):
+    ids = rng.integers(0, vocab, size=(batch, length))
+    if pattern == "padding rows":
+        ids[::2] = 0
+    elif pattern == "one id":
+        ids[:] = rng.integers(0, vocab)
+    return ids
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+@pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+@pytest.mark.parametrize("shortest", [True, False], ids=["min_L", "L64"])
+@settings(max_examples=6, deadline=None)
+@given(
+    batch=st.sampled_from([1, 3, 257]),
+    vocab=st.sampled_from([2, 9, 300]),
+    pattern=st.sampled_from(["random", "padding rows", "one id"]),
+    seed=st.integers(0, 2**16),
+)
+@example(batch=257, vocab=2, pattern="padding rows", seed=0)
+@example(batch=257, vocab=300, pattern="one id", seed=1)
+@example(batch=3, vocab=300, pattern="random", seed=2)
+@example(batch=1, vocab=9, pattern="one id", seed=3)
+def test_forward_matches_gemm_oracle_bit_for_bit(
+    precision, kernel, shortest, batch, vocab, pattern, seed
+):
+    """Model.forward is the oracle's per-tap GEMM pass, bit for bit, whether
+    conv1 folds the embedding (B=257 always does; a lone distinct id
+    projects as two rows) or not (B=1 never does)."""
+    length = 3 * kernel + 1 if shortest else 64
+    config = ModelConfig(vocab_size=vocab, L=length, kernel=kernel, precision=precision)
+    model = init_model(config, seed)
+    ids = _fold_case_ids(np.random.default_rng(seed), batch, length, vocab, pattern)
+    probs, cache = model.forward(ids)
+    oracle_probs, oracle = gemm_model_forward(model, ids)
+    assert_same_floats(cache.embedded, oracle.embedded)
+    assert_same_floats(cache.conv1, oracle.conv1)
+    assert_same_floats(probs, oracle_probs)
+
+
+@pytest.mark.parametrize("rows", [2, 20], ids=["per_tap", "folded"])
+@pytest.mark.parametrize("bad", [-1, 12, 10**12], ids=["negative", "vocab_size", "huge"])
+def test_forward_rejects_out_of_range_ids_as_the_oracle_does(bad, rows):
+    model = init_model(ModelConfig(vocab_size=12, L=10), 0)
+    ids = np.arange(10 * rows).reshape(rows, 10) % 12
+    ids[1, 3] = bad
+    with pytest.raises(ValueError) as fold:
+        model.forward(ids)
+    with pytest.raises(ValueError) as oracle:
+        gemm_model_forward(model, ids)
+    assert str(fold.value) == str(oracle.value)
+    assert "sequence ids must lie in [0, 12)" in str(fold.value)
+
+
+def _traced_peak(forward, model, ids) -> int:
+    tracemalloc.start()
+    try:
+        forward(model, ids)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_peak_memory_is_no_higher_than_the_oracles():
+    """B=256, L=64: gathering distinct rows and relu in place must not
+    hold more at once than embedding every position did."""
+    config = ModelConfig(vocab_size=107, L=64)
+    model = init_model(config, 0)
+    ids = np.random.default_rng(0).integers(0, 107, size=(256, 64))
+    fold = _traced_peak(Model.forward, model, ids)
+    oracle = _traced_peak(gemm_model_forward, model, ids)
+    assert fold <= oracle, (fold, oracle)
+
+
+def test_forward_folds_conv1_only_where_ids_repeat_enough():
+    """With at least _FOLD_MIN_REPEATS positions repeating an id, the cache
+    holds the distinct rows and places cache.embedded from them; with
+    fewer, conv1 embeds every position. Both read the same embedded batch."""
+    model = init_model(ModelConfig(vocab_size=200, L=10), 0)
+    table = model.params["embedding"]
+    for ids, folds in [
+        (np.arange(140).reshape(14, 10) % 4, True),  # 136 repeats
+        (np.arange(130).reshape(13, 10) % 4, False),  # 126 repeats
+        (np.random.default_rng(0).integers(0, 200, size=(16, 10)), False),  # 52 repeats
+    ]:
+        _, cache = model.forward(ids)
+        assert hasattr(cache, "rows") == folds
+        assert np.array_equal(cache.embedded, table[ids])
 
 
 def test_float32_pipeline_runs_and_keeps_dtype():

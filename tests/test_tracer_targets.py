@@ -34,37 +34,76 @@ def test_tracer_target_resolves(path, attr):
     assert callable(owner.__dict__[attr])
 
 
+# A small batch, and one whose ids repeat enough for conv1 to fold the
+# embedding into per-id projections.
+BATCHES = {
+    "varied": np.random.default_rng(0).integers(0, 12, size=(3, 10)),
+    "folded": np.random.default_rng(0).integers(0, 12, size=(16, 10)) % 3,
+}
+
+
 def test_tracer_sees_every_layer_call_in_order():
     """The tracer tells conv1 from conv2 (and pool1 from pool2, dense1 from
     dense2) only by call order, so each layer step must call the nn layer
-    function looked up at call time, once per layer, in stack order."""
+    function looked up at call time, once per layer, in stack order, with
+    conv1 folded or not."""
     model = nn.init_model(nn.ModelConfig(vocab_size=12, L=10), seed=0)
-    ids = np.random.default_rng(0).integers(0, 12, size=(3, 10))
+    for ids in BATCHES.values():
+        tracer = SPANS.Tracer()
+        tracer.install()
+        try:
+            _, cache = model.forward(ids)
+            train.model_backward(cache, np.arange(len(ids)) % 4 + 1)
+        finally:
+            tracer.uninstall()
+
+        assert [span[1] for span in tracer.spans if span[1].startswith("nn.")] == [
+            "nn.forward",
+            "nn.embedding.fwd",
+            "nn.conv1.fwd",
+            "nn.pool1.fwd",
+            "nn.conv2.fwd",
+            "nn.pool2.fwd",
+            "nn.dense1.fwd",
+            "nn.dense2.fwd",
+            "nn.softmax",
+            "nn.backward",
+            "nn.dense2.bwd",
+            "nn.dense1.bwd",
+            "nn.pool2.bwd",
+            "nn.conv2.bwd",
+            "nn.pool1.bwd",
+            "nn.conv1.bwd",
+        ]
+
+
+@pytest.mark.parametrize("ids", BATCHES.values(), ids=BATCHES.keys())
+def test_conv_spans_get_their_layers_input_channels(monkeypatch, ids):
+    """nn.conv1.fwd and nn.conv2.fwd time the calls that read the embedding
+    and conv1's output, so each must get an input of that many channels."""
+    config = nn.ModelConfig(vocab_size=12, L=10, embed_dim=7, conv1_filters=5, conv2_filters=3)
+    model = nn.init_model(config, seed=0)
     tracer = SPANS.Tracer()
     tracer.install()
+    channels = []
+    traced_conv = nn.conv1d_forward
+
+    def recording(x, kernel, bias):
+        channels.append(x.shape[-1])
+        return traced_conv(x, kernel, bias)
+
+    monkeypatch.setattr(nn, "conv1d_forward", recording)
     try:
         _, cache = model.forward(ids)
-        train.model_backward(cache, np.array([1, 2, 3]))
     finally:
+        monkeypatch.undo()
         tracer.uninstall()
 
-    assert [span[1] for span in tracer.spans if span[1].startswith("nn.")] == [
-        "nn.forward",
-        "nn.embedding.fwd",
-        "nn.conv1.fwd",
-        "nn.pool1.fwd",
-        "nn.conv2.fwd",
-        "nn.pool2.fwd",
-        "nn.dense1.fwd",
-        "nn.dense2.fwd",
-        "nn.softmax",
-        "nn.backward",
-        "nn.dense2.bwd",
-        "nn.dense1.bwd",
-        "nn.pool2.bwd",
-        "nn.conv2.bwd",
-        "nn.pool1.bwd",
-        "nn.conv1.bwd",
+    assert hasattr(cache, "rows") == (len(ids) == 16)
+    names = [span[1] for span in tracer.spans if span[1].endswith(".fwd") and "conv" in span[1]]
+    assert list(zip(names, channels)) == [
+        ("nn.conv1.fwd", config.embed_dim),
+        ("nn.conv2.fwd", config.conv1_filters),
     ]
 
 
