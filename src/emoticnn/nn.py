@@ -318,9 +318,10 @@ class ForwardCache(SimpleNamespace):
     version and the ids; each layer's output under its LAYERS name
     (cache.conv1); and winners, each pool layer's winning positions.
 
-    Where conv1 folded the embedding, the cache holds the distinct rows
-    and each position's index into them, and cache.embedded is placed as
-    rows[inverse] when it is first read.
+    Where conv1 folded the embedding, the cache holds the distinct ids,
+    their rows and each position's index into them, and cache.embedded is
+    placed as rows[inverse] when it is first read. model_backward never
+    reads it there: it works on the distinct rows.
     """
 
     @cached_property
@@ -368,7 +369,7 @@ class Model:
                     rows = embedding_forward(distinct, *weights)
                     lookup = np.empty(len(weights[0]), dtype=np.intp)
                     lookup[distinct] = np.arange(distinct.size)
-                    outputs.update(rows=rows, inverse=lookup[ids])
+                    outputs.update(distinct=distinct, rows=rows, inverse=lookup[ids])
                     continue
             elif layer.kind == "conv_relu":
                 if x is ids:
@@ -444,6 +445,32 @@ def _conv1d_of_rows(rows: np.ndarray, inverse: np.ndarray, kernel: np.ndarray,
     return out
 
 
+def _conv1d_of_rows_backward(rows: np.ndarray, inverse: np.ndarray, kernel: np.ndarray,
+                             dout: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """conv1d_backward(rows[inverse], kernel, dout), with the input gradient
+    summed per row: (drows, dkernel, dbias).
+
+    Position t's tap o reads the row at t + o, so the rows' share of dout
+    is, per tap, the sum of dout over the positions that read each row
+    (summed in float64, in position order). One conv1d_backward call on the
+    rows then takes those sums through the taps laid side by side, as
+    _conv1d_of_rows lays them, for each row's gradient and every tap's
+    kernel gradient at once.
+    """
+    k, c_in, filters = kernel.shape
+    t_out = dout.shape[-2]
+    dout_flat = dout.reshape(-1)
+    table = np.empty((len(rows), k * filters), dtype=kernel.dtype)
+    for offset in range(k):
+        slots = inverse[:, offset : offset + t_out, None] * filters + np.arange(filters)
+        sums = np.bincount(slots.reshape(-1), dout_flat, minlength=table.shape[0] * filters)
+        table[:, offset * filters : (offset + 1) * filters] = sums.reshape(-1, filters)
+    wide = kernel.transpose(1, 0, 2).reshape(1, c_in, k * filters)
+    drows, dwide, _ = conv1d_backward(rows[None], wide, table[None])
+    dkernel = dwide.reshape(c_in, k, filters).transpose(1, 0, 2)
+    return drows[0], np.ascontiguousarray(dkernel), dout.sum(axis=(0, 1))
+
+
 def model_backward(cache: ForwardCache, labels) -> dict[str, np.ndarray]:
     """Backpropagate the batch-mean cross-entropy loss through the stack.
 
@@ -451,6 +478,11 @@ def model_backward(cache: ForwardCache, labels) -> dict[str, np.ndarray]:
     gradient tensor per parameter, shapes mirroring Model.params,
     averaged over the batch dimension of the cached forward pass. The
     cache must come from the current parameters.
+
+    Where the forward pass folded conv1 (the cache holds rows), the
+    backward pass follows it: conv1 and the embedding get their gradients
+    through the distinct rows (_conv1d_of_rows_backward), and the batch is
+    never embedded position by position.
     """
     if cache is None:
         raise ValueError("model_backward requires the cache from a forward pass")
@@ -465,19 +497,28 @@ def model_backward(cache: ForwardCache, labels) -> dict[str, np.ndarray]:
     dout[np.arange(labels.size), labels - 1] -= 1
     dout /= probs.shape[0]
     grads: dict[str, np.ndarray] = {}
-    outputs = [cache.ids, *(getattr(cache, layer.name) for layer in LAYERS)]
+    # A folded batch's embed output is its distinct rows; cache.embedded stays unplaced.
+    rows = getattr(cache, "rows", None)
+    outputs = [cache.ids, *(rows if rows is not None and layer.kind == "embed"
+                            else getattr(cache, layer.name) for layer in LAYERS)]
     for layer, x, out in reversed(list(zip(LAYERS, outputs, outputs[1:]))):
         weight = model.params[layer.params[0]] if layer.params else None
         # A relu output is positive exactly where its input was.
         if layer.kind in ("conv_relu", "dense_relu"):
             dout = dout * (out > 0)
         dparams = ()
-        if layer.kind == "embed":
+        if layer.kind == "embed" and out is rows:
+            dembedding = np.zeros_like(weight)
+            dembedding[cache.distinct] = dout
+            dparams = (dembedding,)
+        elif layer.kind == "embed":
             # Add each position's gradient into its id's row, in position order, in float64.
             vocab, dim = weight.shape
             slots = (x.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
             dembedding = np.bincount(slots, dout.reshape(-1), minlength=vocab * dim)
             dparams = (dembedding.reshape(vocab, dim).astype(weight.dtype, copy=False),)
+        elif layer.kind == "conv_relu" and x is rows:
+            dout, *dparams = _conv1d_of_rows_backward(x, cache.inverse, weight, dout)
         elif layer.kind == "conv_relu":
             dout, *dparams = conv1d_backward(x, weight, dout)
         elif layer.kind == "pool":
@@ -519,12 +560,16 @@ def init_model(config: ModelConfig, seed: int) -> Model:
 
 @dataclass
 class RmsPropState:
-    """RMSProp hyperparameters plus one squared-gradient accumulator per parameter."""
+    """RMSProp hyperparameters plus one squared-gradient accumulator per
+    parameter. scratch holds, per dtype, room for two arrays the size of
+    the largest parameter: rmsprop_step computes every update there, so
+    that a step allocates no array."""
 
     lr: float = 0.001
     rho: float = 0.9
     epsilon: float = 1e-7
     accumulators: dict[str, np.ndarray] = field(default_factory=dict)
+    scratch: dict[np.dtype, np.ndarray] = field(default_factory=dict)
 
 
 def rmsprop_step(model: Model, grads: dict[str, np.ndarray], state: RmsPropState) -> None:
@@ -550,9 +595,21 @@ def rmsprop_step(model: Model, grads: dict[str, np.ndarray], state: RmsPropState
         acc = state.accumulators.get(name)
         if acc is None:
             acc = state.accumulators[name] = np.zeros_like(param)
+        scratch = state.scratch.get(param.dtype)
+        if scratch is None or scratch.size < 2 * param.size:
+            largest = max(other.size for other in params.values())
+            scratch = state.scratch[param.dtype] = np.empty(2 * largest, param.dtype)
+        square, step = scratch[: 2 * param.size].reshape(2, *param.shape)
+        # In the order of rho * a + ((1 - rho) * g) * g and (lr * g) / (sqrt(a) + epsilon).
+        np.multiply(1.0 - state.rho, grad, out=square)
+        square *= grad
         acc *= state.rho
-        acc += (1.0 - state.rho) * grad * grad
-        param -= state.lr * grad / (np.sqrt(acc) + state.epsilon)
+        acc += square
+        np.sqrt(acc, out=step)
+        step += state.epsilon
+        np.multiply(state.lr, grad, out=square)
+        np.divide(square, step, out=step)
+        param -= step
     model._version += 1
 
 

@@ -94,7 +94,12 @@ def einsum_conv1d_backward(x, kernel, dout):
 
 def gemm_model_forward(model, ids):
     """Model.forward as it was before conv1 projected distinct rows: embed
-    every position, then one GEMM per conv1 tap over the whole batch."""
+    every position, then one GEMM per conv1 tap over the whole batch.
+
+    Where Model.forward would fold (at least nn._FOLD_MIN_REPEATS repeated
+    positions), the cache also records the distinct ids, their rows and
+    each position's index into them, found here by np.unique, so that
+    model_backward takes the same distinct-row path on either cache."""
     cfg = model.config
     ids = np.asarray(ids)
     if ids.ndim == 1:
@@ -106,6 +111,10 @@ def gemm_model_forward(model, ids):
         weights = [params[name] for name in layer.params]
         if layer.kind == "embed":
             x = nn.embedding_forward(x, *weights)
+            distinct, inverse = np.unique(ids, return_inverse=True)
+            if ids.size - distinct.size >= nn._FOLD_MIN_REPEATS:
+                rows = weights[0][distinct]
+                outputs.update(distinct=distinct, rows=rows, inverse=inverse.reshape(ids.shape))
         elif layer.kind == "conv_relu":
             x = nn.relu(nn.conv1d_forward(x, *weights))
         elif layer.kind == "pool":

@@ -218,6 +218,9 @@ def test_embedding_gradient_matches_add_at_oracle(ids, seed):
 
 
 def test_float32_embedding_gradient_is_float64_sum_rounded_once():
+    """For a batch that conv1 does not fold (80 positions here). A folded
+    batch sums each tap's gradient per distinct id in float64, and then
+    takes those sums through the kernel in float32."""
     config = ModelConfig(vocab_size=6, L=10, precision="float32")
     rng = np.random.default_rng(11)
     ids = rng.integers(0, config.vocab_size, size=(8, config.L))
@@ -711,6 +714,23 @@ def test_rmsprop_matches_naive_oracle_elementwise():
         assert abs(state.accumulators["w"][i] - acc) < 1e-15
 
 
+def test_rmsprop_step_allocates_nothing_parameter_sized_after_the_first():
+    """The first step makes the accumulators and the scratch room; later
+    steps compute in those and allocate no array of a parameter's size."""
+    rng = np.random.default_rng(3)
+    params = {name: rng.normal(size=size) for name, size in [("a", 4096), ("b", 6000), ("c", 9000)]}
+    model, state = param_model(params), RmsPropState()
+    grads = {name: rng.normal(size=param.shape) for name, param in params.items()}
+    rmsprop_step(model, grads, state)
+    tracemalloc.start()
+    try:
+        rmsprop_step(model, grads, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < min(param.nbytes for param in params.values()), peak
+
+
 def test_rmsprop_rejects_non_finite_gradient():
     model = param_model({"w": np.zeros(2)})
     with pytest.raises(ValueError, match="non-finite"):
@@ -897,6 +917,94 @@ def test_forward_folds_conv1_only_where_ids_repeat_enough():
         _, cache = model.forward(ids)
         assert hasattr(cache, "rows") == folds
         assert np.array_equal(cache.embedded, table[ids])
+
+
+def _per_position_cache(model, ids):
+    """The oracle forward's cache without the distinct rows, so that
+    model_backward embeds every position and runs conv1d_backward on them."""
+    _, cache = gemm_model_forward(model, ids)
+    for name in ("distinct", "rows", "inverse"):
+        vars(cache).pop(name, None)
+    return cache
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+@pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+@settings(max_examples=6, deadline=None)
+@given(
+    batch=st.sampled_from([3, 257]),
+    vocab=st.sampled_from([2, 9, 300]),
+    pattern=st.sampled_from(["random", "padding rows", "one id"]),
+    seed=st.integers(0, 2**16),
+)
+@example(batch=257, vocab=300, pattern="one id", seed=1)
+@example(batch=257, vocab=300, pattern="random", seed=2)
+@example(batch=3, vocab=9, pattern="random", seed=3)
+def test_backward_through_distinct_rows_matches_the_per_position_backward(
+    precision, kernel, batch, vocab, pattern, seed
+):
+    """Where the forward folded conv1 (B=257 always does; a lone distinct
+    id keeps one row in the cache), model_backward gives the per-position
+    gradients: bit for bit down to conv1's bias, and conv1's kernel and the
+    embedding up to summation order. It never embeds the batch, and ids
+    absent from the batch get exactly zero."""
+    config = ModelConfig(vocab_size=vocab, L=3 * kernel + 1, kernel=kernel, precision=precision)
+    model = init_model(config, seed)
+    rng = np.random.default_rng(seed)
+    ids = _fold_case_ids(rng, batch, config.L, vocab, pattern)
+    labels = rng.integers(1, 5, size=batch)
+    _, cache = model.forward(ids)
+    grads = model_backward(cache, labels)
+    oracle = model_backward(_per_position_cache(model, ids), labels)
+
+    assert hasattr(cache, "rows") == (batch == 257)
+    assert "embedded" not in vars(cache) or batch == 3
+    # Both sides round in the model's dtype, in different orders; float32 differs by ~1e-6.
+    tolerance = {"float64": 1e-12, "float32": 1e-4}[precision]
+    for name in PARAM_NAMES:
+        assert grads[name].dtype == model.params[name].dtype
+        if name in ("embedding", "conv1_kernel"):
+            scale = np.abs(oracle[name]).max()
+            assert np.abs(grads[name] - oracle[name]).max() <= tolerance * scale, name
+        else:
+            assert np.array_equal(grads[name], oracle[name]), name
+    absent = np.setdiff1d(np.arange(vocab), ids)
+    assert not grads["embedding"][absent].any()
+
+
+def test_gradient_check_passes_on_a_batch_that_folds():
+    """The two gradients that go through the distinct rows match central
+    differences. (The others are the per-position pass's, bit for bit; with
+    14 examples a dense1 pre-activation here lies within one finite
+    difference step of its relu kink, which breaks the numeric side.)"""
+    narrow = ModelConfig(
+        vocab_size=10, L=10, embed_dim=8, conv1_filters=6, conv2_filters=4, dense_hidden=5
+    )
+    model = init_model(narrow, seed=1)
+    rng = np.random.default_rng(5)
+    ids = rng.integers(0, 10, size=(14, 10))  # at least 130 repeated positions
+    assert hasattr(model.forward(ids)[1], "rows")
+    errors = gradient_check(model, ids, np.eye(4)[rng.integers(0, 4, size=14)])
+    assert errors["embedding"] < 1e-4 and errors["conv1_kernel"] < 1e-4, errors
+
+
+def test_backward_peak_memory_is_no_higher_than_the_per_position_backward():
+    """B=256, L=64: summing the gradient per distinct row must not hold more
+    at once than the per-position conv1 backward and embedding scatter did."""
+    config = ModelConfig(vocab_size=107, L=64)
+    model = init_model(config, 0)
+    ids = np.random.default_rng(0).integers(0, 107, size=(256, 64))
+    labels = np.arange(256) % 4 + 1
+    caches = {"fold": model.forward(ids)[1], "oracle": _per_position_cache(model, ids)}
+    peaks = {}
+    for name, cache in caches.items():
+        tracemalloc.start()
+        try:
+            model_backward(cache, labels)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["fold"] <= peaks["oracle"], peaks
 
 
 def test_float32_pipeline_runs_and_keeps_dtype():

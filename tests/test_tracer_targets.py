@@ -46,9 +46,10 @@ def test_tracer_sees_every_layer_call_in_order():
     """The tracer tells conv1 from conv2 (and pool1 from pool2, dense1 from
     dense2) only by call order, so each layer step must call the nn layer
     function looked up at call time, once per layer, in stack order, with
-    conv1 folded or not."""
+    conv1 folded or not. The backward's layer calls are the direct
+    children of nn.backward, whichever path conv1 takes."""
     model = nn.init_model(nn.ModelConfig(vocab_size=12, L=10), seed=0)
-    for ids in BATCHES.values():
+    for name, ids in BATCHES.items():
         tracer = SPANS.Tracer()
         tracer.install()
         try:
@@ -57,6 +58,16 @@ def test_tracer_sees_every_layer_call_in_order():
         finally:
             tracer.uninstall()
 
+        assert hasattr(cache, "rows") == (name == "folded")
+        backward = next(i for i, span in enumerate(tracer.spans) if span[1] == "nn.backward")
+        assert [span[1] for span in tracer.spans if span[0] == backward] == [
+            "nn.dense2.bwd",
+            "nn.dense1.bwd",
+            "nn.pool2.bwd",
+            "nn.conv2.bwd",
+            "nn.pool1.bwd",
+            "nn.conv1.bwd",
+        ]
         assert [span[1] for span in tracer.spans if span[1].startswith("nn.")] == [
             "nn.forward",
             "nn.embedding.fwd",
@@ -79,31 +90,37 @@ def test_tracer_sees_every_layer_call_in_order():
 
 @pytest.mark.parametrize("ids", BATCHES.values(), ids=BATCHES.keys())
 def test_conv_spans_get_their_layers_input_channels(monkeypatch, ids):
-    """nn.conv1.fwd and nn.conv2.fwd time the calls that read the embedding
-    and conv1's output, so each must get an input of that many channels."""
+    """nn.conv1.fwd/.bwd and nn.conv2.fwd/.bwd time the calls that read the
+    embedding and conv1's output, so each must get an input of that many
+    channels, through the nn module global, once per layer and pass."""
     config = nn.ModelConfig(vocab_size=12, L=10, embed_dim=7, conv1_filters=5, conv2_filters=3)
     model = nn.init_model(config, seed=0)
     tracer = SPANS.Tracer()
     tracer.install()
     channels = []
-    traced_conv = nn.conv1d_forward
 
-    def recording(x, kernel, bias):
-        channels.append(x.shape[-1])
-        return traced_conv(x, kernel, bias)
+    def recording(traced_conv):
+        def conv(x, kernel, other):
+            channels.append(x.shape[-1])
+            return traced_conv(x, kernel, other)
+        return conv
 
-    monkeypatch.setattr(nn, "conv1d_forward", recording)
+    for attr in ("conv1d_forward", "conv1d_backward"):
+        monkeypatch.setattr(nn, attr, recording(getattr(nn, attr)))
     try:
         _, cache = model.forward(ids)
+        train.model_backward(cache, np.arange(len(ids)) % 4 + 1)
     finally:
         monkeypatch.undo()
         tracer.uninstall()
 
     assert hasattr(cache, "rows") == (len(ids) == 16)
-    names = [span[1] for span in tracer.spans if span[1].endswith(".fwd") and "conv" in span[1]]
+    names = [span[1] for span in tracer.spans if span[1].startswith("nn.conv")]
     assert list(zip(names, channels)) == [
         ("nn.conv1.fwd", config.embed_dim),
         ("nn.conv2.fwd", config.conv1_filters),
+        ("nn.conv2.bwd", config.conv1_filters),
+        ("nn.conv1.bwd", config.embed_dim),
     ]
 
 
