@@ -318,10 +318,10 @@ class ForwardCache(SimpleNamespace):
     version and the ids; each layer's output under its LAYERS name
     (cache.conv1); and winners, each pool layer's winning positions.
 
-    Where conv1 folded the embedding, the cache holds the distinct ids,
-    their rows and each position's index into them, and cache.embedded is
-    placed as rows[inverse] when it is first read. model_backward never
-    reads it there: it works on the distinct rows.
+    For the embedding it holds the batch's distinct ids, their rows and
+    each position's index into them; cache.embedded is placed as
+    rows[inverse] only when first read. model_backward never reads it: it
+    works on the distinct rows.
     """
 
     @cached_property
@@ -344,33 +344,30 @@ class Model:
         batch of one. Returns softmax probabilities of shape (batch,
         classes) and the cache consumed by model_backward.
 
-        Where enough positions repeat an id (_FOLD_MIN_REPEATS), conv1
-        projects each distinct id's embedding row once instead of every
-        position's, to the same bits (_conv1d_of_rows says when).
-        cache.embedded reads as the (batch, L, embed_dim) embedded batch
-        either way.
+        conv1 projects each distinct id's embedding row once instead of
+        every position's, to the same bits as the per-position convolution
+        (_conv1d_of_rows says when). cache.embedded reads as the (batch, L,
+        embed_dim) embedded batch.
         """
         cfg = self.config
         ids = np.asarray(ids)
         if ids.ndim == 1:
             ids = ids[None, :]
-        if ids.ndim != 2 or ids.shape[1] != cfg.L:
-            raise ValueError(f"expected ids of shape (batch, {cfg.L}), got {ids.shape}")
+        if ids.ndim != 2 or ids.shape[1] != cfg.L or not len(ids):
+            raise ValueError(f"expected ids of shape (batch, {cfg.L}) with batch >= 1, "
+                             f"got {ids.shape}")
         params, x, outputs, winners = self.params, ids, {}, {}
         for layer, shape in zip(LAYERS, cfg.shape_chain()):
             weights = [params[name] for name in layer.params]
             if layer.kind == "embed":
-                distinct = _ids_to_fold(ids)
-                if distinct is None:
-                    x = embedding_forward(ids, *weights)
-                else:
-                    # conv1 projects each distinct id's row once, so x stays the ids;
-                    # cache.embedded places the rows at their positions when first read.
-                    rows = embedding_forward(distinct, *weights)
-                    lookup = np.empty(len(weights[0]), dtype=np.intp)
-                    lookup[distinct] = np.arange(distinct.size)
-                    outputs.update(distinct=distinct, rows=rows, inverse=lookup[ids])
-                    continue
+                # conv1 projects each distinct id's row once, so x stays the ids;
+                # cache.embedded places the rows at their positions when first read.
+                distinct = _distinct(ids)
+                rows = embedding_forward(distinct, *weights)
+                lookup = np.empty(len(weights[0]), dtype=np.intp)
+                lookup[distinct] = np.arange(distinct.size)
+                outputs.update(distinct=distinct, rows=rows, inverse=lookup[ids])
+                continue
             elif layer.kind == "conv_relu":
                 if x is ids:
                     x = _conv1d_of_rows(outputs["rows"], outputs["inverse"], *weights)
@@ -394,27 +391,13 @@ class Model:
         )
 
 
-# conv1 folds the embedding when at least this many positions repeat an
-# id already seen in the batch: those are the rows the fold need not
-# project. Its fixed costs (finding the distinct ids, the side-by-side
-# kernel copy, the gathers) were measured to break even near 100 repeats:
-# fold/GEMM forward time 1.03 at 53 repeats (B=1, L=64: a predict
-# request), 1.01 at 94, 0.85 at 107 and 0.49 at 942. A training batch
-# (B=32, L=18) repeats about 500 positions, an eval chunk (B=256) 4500.
-_FOLD_MIN_REPEATS = 128
-
-
-def _ids_to_fold(ids: np.ndarray) -> np.ndarray | None:
-    """The distinct values of ids, ascending, if enough positions repeat
-    one (see _FOLD_MIN_REPEATS); else None."""
-    if ids.size < _FOLD_MIN_REPEATS:
-        return None
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of ids, ascending."""
     flat = np.sort(ids, axis=None)
     first = np.empty(flat.size, dtype=bool)
     first[:1] = True
     np.not_equal(flat[1:], flat[:-1], out=first[1:])
-    distinct = flat[first]
-    return distinct if ids.size - distinct.size >= _FOLD_MIN_REPEATS else None
+    return flat[first]
 
 
 def _conv1d_of_rows(rows: np.ndarray, inverse: np.ndarray, kernel: np.ndarray,
@@ -479,10 +462,10 @@ def model_backward(cache: ForwardCache, labels) -> dict[str, np.ndarray]:
     averaged over the batch dimension of the cached forward pass. The
     cache must come from the current parameters.
 
-    Where the forward pass folded conv1 (the cache holds rows), the
-    backward pass follows it: conv1 and the embedding get their gradients
-    through the distinct rows (_conv1d_of_rows_backward), and the batch is
-    never embedded position by position.
+    conv1 and the embedding get their gradients through the batch's
+    distinct rows, as the forward pass computed conv1
+    (_conv1d_of_rows_backward): the batch is never embedded position by
+    position, and ids absent from the batch get an exactly zero row.
     """
     if cache is None:
         raise ValueError("model_backward requires the cache from a forward pass")
@@ -497,27 +480,19 @@ def model_backward(cache: ForwardCache, labels) -> dict[str, np.ndarray]:
     dout[np.arange(labels.size), labels - 1] -= 1
     dout /= probs.shape[0]
     grads: dict[str, np.ndarray] = {}
-    # A folded batch's embed output is its distinct rows; cache.embedded stays unplaced.
-    rows = getattr(cache, "rows", None)
-    outputs = [cache.ids, *(rows if rows is not None and layer.kind == "embed"
-                            else getattr(cache, layer.name) for layer in LAYERS)]
+    # The embed layer's output is the distinct rows; cache.embedded stays unplaced.
+    outputs = [cache.ids, cache.rows, *(getattr(cache, layer.name) for layer in LAYERS[1:])]
     for layer, x, out in reversed(list(zip(LAYERS, outputs, outputs[1:]))):
         weight = model.params[layer.params[0]] if layer.params else None
         # A relu output is positive exactly where its input was.
         if layer.kind in ("conv_relu", "dense_relu"):
             dout = dout * (out > 0)
         dparams = ()
-        if layer.kind == "embed" and out is rows:
+        if layer.kind == "embed":
             dembedding = np.zeros_like(weight)
             dembedding[cache.distinct] = dout
             dparams = (dembedding,)
-        elif layer.kind == "embed":
-            # Add each position's gradient into its id's row, in position order, in float64.
-            vocab, dim = weight.shape
-            slots = (x.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
-            dembedding = np.bincount(slots, dout.reshape(-1), minlength=vocab * dim)
-            dparams = (dembedding.reshape(vocab, dim).astype(weight.dtype, copy=False),)
-        elif layer.kind == "conv_relu" and x is rows:
+        elif layer.kind == "conv_relu" and x is cache.rows:
             dout, *dparams = _conv1d_of_rows_backward(x, cache.inverse, weight, dout)
         elif layer.kind == "conv_relu":
             dout, *dparams = conv1d_backward(x, weight, dout)

@@ -4,10 +4,10 @@ Everything here shares no code with the package, so agreement is
 meaningful evidence of correctness. The ``naive_`` oracles are explicit
 Python loops; the others are the package's earlier numpy kernels (einsum
 convolution, argmax pooling, np.add.at scatter, one-hot loss and logit
-gradient), its earlier forward pass (which does call the package's layer
-functions) and its earlier text stages (a whitespace collapse by regex
-and an emoticon scan that walks every grapheme cluster in Python), kept
-to pin the fast paths that replaced them.
+gradient), its earlier forward and backward passes (which do call the
+package's layer functions) and its earlier text stages (a whitespace
+collapse by regex and an emoticon scan that walks every grapheme cluster
+in Python), kept to pin the fast paths that replaced them.
 """
 
 from __future__ import annotations
@@ -96,10 +96,9 @@ def gemm_model_forward(model, ids):
     """Model.forward as it was before conv1 projected distinct rows: embed
     every position, then one GEMM per conv1 tap over the whole batch.
 
-    Where Model.forward would fold (at least nn._FOLD_MIN_REPEATS repeated
-    positions), the cache also records the distinct ids, their rows and
-    each position's index into them, found here by np.unique, so that
-    model_backward takes the same distinct-row path on either cache."""
+    The cache also records the distinct ids, their rows and each
+    position's index into them, found here by np.unique, so that
+    model_backward can run on it as on Model.forward's cache."""
     cfg = model.config
     ids = np.asarray(ids)
     if ids.ndim == 1:
@@ -112,9 +111,8 @@ def gemm_model_forward(model, ids):
         if layer.kind == "embed":
             x = nn.embedding_forward(x, *weights)
             distinct, inverse = np.unique(ids, return_inverse=True)
-            if ids.size - distinct.size >= nn._FOLD_MIN_REPEATS:
-                rows = weights[0][distinct]
-                outputs.update(distinct=distinct, rows=rows, inverse=inverse.reshape(ids.shape))
+            outputs.update(distinct=distinct, rows=weights[0][distinct],
+                           inverse=inverse.reshape(ids.shape))
         elif layer.kind == "conv_relu":
             x = nn.relu(nn.conv1d_forward(x, *weights))
         elif layer.kind == "pool":
@@ -130,6 +128,38 @@ def gemm_model_forward(model, ids):
     return x, nn.ForwardCache(
         model=model, version=model._version, ids=ids, winners=winners, **outputs
     )
+
+
+def per_position_model_backward(cache, labels):
+    """model_backward as it was before conv1's backward went through the
+    distinct rows: conv1d_backward over every position of cache.embedded,
+    then each position's embedding gradient added at its id in float64
+    (add_at_embedding_grad), rounded once to the model's dtype."""
+    model, probs = cache.model, cache.probs
+    labels = np.asarray(labels)
+    dout = probs.copy()
+    dout[np.arange(labels.size), labels - 1] -= 1
+    dout /= probs.shape[0]
+    grads = {}
+    outputs = [cache.ids, *(getattr(cache, layer.name) for layer in nn.LAYERS)]
+    for layer, x, out in reversed(list(zip(nn.LAYERS, outputs, outputs[1:]))):
+        weight = model.params[layer.params[0]] if layer.params else None
+        if layer.kind.endswith("_relu"):
+            dout = dout * (out > 0)
+        dparams = ()
+        if layer.kind == "embed":
+            dembedding = add_at_embedding_grad(x, dout.astype(np.float64), weight.shape[0])
+            dparams = (dembedding.astype(weight.dtype, copy=False),)
+        elif layer.kind == "conv_relu":
+            dout, *dparams = nn.conv1d_backward(x, weight, dout)
+        elif layer.kind == "pool":
+            dout = nn.maxpool1d_backward(dout, cache.winners[layer.name], x.shape)
+        elif layer.kind == "flatten":
+            dout = dout.reshape(x.shape)
+        else:
+            dout, *dparams = nn.dense_backward(x, weight, dout)
+        grads.update(zip(layer.params, dparams))
+    return {name: grads[name] for name in nn.PARAM_NAMES}
 
 
 def argmax_maxpool1d(x) -> tuple[np.ndarray, np.ndarray]:

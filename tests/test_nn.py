@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from naive_oracles import (
-    add_at_embedding_grad,
     argmax_maxpool1d,
     einsum_conv1d_backward,
     einsum_conv1d_forward,
@@ -25,6 +24,7 @@ from naive_oracles import (
     naive_rmsprop,
     one_hot_cross_entropy,
     one_hot_logit_gradient,
+    per_position_model_backward,
 )
 
 from emoticnn import nn
@@ -180,24 +180,6 @@ def test_maxpool1d_winner_rule(pair, value, winner):
     assert winners.tolist() == [[winner]]
 
 
-def _embedding_grad_and_oracle(model: Model, ids, labels):
-    """model_backward's embedding gradient, and np.add.at of the same upstream gradient."""
-    upstream = []
-
-    def recording_conv1d_backward(x, kernel, dout):
-        result = conv1d_backward(x, kernel, dout)
-        upstream.append(result[0])
-        return result
-
-    _, cache = model.forward(ids)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nn, "conv1d_backward", recording_conv1d_backward)
-        grads = model_backward(cache, labels)
-    # conv1's backward runs last; its input gradient is d(loss)/d(embedded).
-    dembedded = upstream[-1].astype(np.float64)
-    return grads["embedding"], add_at_embedding_grad(ids, dembedded, model.config.vocab_size)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 5).flatmap(
@@ -206,28 +188,20 @@ def _embedding_grad_and_oracle(model: Model, ids, labels):
     st.integers(0, 2**32 - 1),
 )
 def test_embedding_gradient_matches_add_at_oracle(ids, seed):
+    """The embedding gradient through the distinct rows is the per-position
+    np.add.at scatter's up to summation order; absent ids get exactly zero."""
     # Force the extreme ids and a repeat into every case.
     last = TINY.vocab_size - 1
     ids = ids.copy()
     ids.flat[:3] = (0, last, last)
     rng = np.random.default_rng(seed)
     labels = rng.integers(1, 5, size=ids.shape[0])
-    grad, oracle = _embedding_grad_and_oracle(init_model(TINY, seed % 1000), ids, labels)
+    model = init_model(TINY, seed % 1000)
+    grad = model_backward(model.forward(ids)[1], labels)["embedding"]
+    oracle = per_position_model_backward(gemm_model_forward(model, ids)[1], labels)["embedding"]
     assert grad.dtype == np.float64
-    assert np.array_equal(grad, oracle)
-
-
-def test_float32_embedding_gradient_is_float64_sum_rounded_once():
-    """For a batch that conv1 does not fold (80 positions here). A folded
-    batch sums each tap's gradient per distinct id in float64, and then
-    takes those sums through the kernel in float32."""
-    config = ModelConfig(vocab_size=6, L=10, precision="float32")
-    rng = np.random.default_rng(11)
-    ids = rng.integers(0, config.vocab_size, size=(8, config.L))
-    labels = rng.integers(1, 5, size=8)
-    grad, oracle = _embedding_grad_and_oracle(init_model(config, 2), ids, labels)
-    assert grad.dtype == np.float32
-    assert np.array_equal(grad, oracle.astype(np.float32))
+    assert np.abs(grad - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    assert not grad[np.setdiff1d(np.arange(TINY.vocab_size), ids)].any()
 
 
 # --------------------------------------------------------- convolution
@@ -823,6 +797,12 @@ def test_forward_rejects_wrong_length():
         model.forward(np.zeros((1, 11), dtype=int))
 
 
+def test_forward_rejects_an_empty_batch_naming_its_shape():
+    model = tiny_model()
+    with pytest.raises(ValueError, match=r"batch >= 1, got \(0, 10\)"):
+        model.forward(np.zeros((0, 10), dtype=int))
+
+
 def test_forward_promotes_single_sequence():
     model = tiny_model()
     probs, _ = model.forward(np.zeros(10, dtype=int))
@@ -855,9 +835,9 @@ def _fold_case_ids(rng, batch, length, vocab, pattern):
 def test_forward_matches_gemm_oracle_bit_for_bit(
     precision, kernel, shortest, batch, vocab, pattern, seed
 ):
-    """Model.forward is the oracle's per-tap GEMM pass, bit for bit, whether
-    conv1 folds the embedding (B=257 always does; a lone distinct id
-    projects as two rows) or not (B=1 never does)."""
+    """Model.forward, which projects each distinct id's row once, is the
+    oracle's per-tap GEMM pass over every position, bit for bit (a lone
+    distinct id projects as two rows)."""
     length = 3 * kernel + 1 if shortest else 64
     config = ModelConfig(vocab_size=vocab, L=length, kernel=kernel, precision=precision)
     model = init_model(config, seed)
@@ -903,36 +883,34 @@ def test_forward_peak_memory_is_no_higher_than_the_oracles():
     assert fold <= oracle, (fold, oracle)
 
 
-def test_forward_folds_conv1_only_where_ids_repeat_enough():
-    """With at least _FOLD_MIN_REPEATS positions repeating an id, the cache
-    holds the distinct rows and places cache.embedded from them; with
-    fewer, conv1 embeds every position. Both read the same embedded batch."""
+def test_forward_caches_the_distinct_rows_of_every_batch():
+    """Every batch, a single post included, caches its distinct ids and
+    their rows, and places cache.embedded from them only when it is read."""
     model = init_model(ModelConfig(vocab_size=200, L=10), 0)
     table = model.params["embedding"]
-    for ids, folds in [
-        (np.arange(140).reshape(14, 10) % 4, True),  # 136 repeats
-        (np.arange(130).reshape(13, 10) % 4, False),  # 126 repeats
-        (np.random.default_rng(0).integers(0, 200, size=(16, 10)), False),  # 52 repeats
+    rng = np.random.default_rng(0)
+    for ids in [
+        np.arange(140).reshape(14, 10) % 4,
+        np.arange(130).reshape(13, 10) % 4,
+        rng.integers(0, 200, size=(16, 10)),
     ]:
         _, cache = model.forward(ids)
-        assert hasattr(cache, "rows") == folds
+        assert np.array_equal(cache.distinct, np.unique(ids))
+        assert np.array_equal(cache.rows, table[cache.distinct])
+        assert "embedded" not in vars(cache)
         assert np.array_equal(cache.embedded, table[ids])
-
-
-def _per_position_cache(model, ids):
-    """The oracle forward's cache without the distinct rows, so that
-    model_backward embeds every position and runs conv1d_backward on them."""
-    _, cache = gemm_model_forward(model, ids)
-    for name in ("distinct", "rows", "inverse"):
-        vars(cache).pop(name, None)
-    return cache
+    request = init_model(ModelConfig(vocab_size=200, L=64), 0)
+    ids = rng.integers(0, 15, size=(1, 64))
+    _, cache = request.forward(ids)
+    assert np.array_equal(cache.distinct, np.unique(ids))
+    assert np.array_equal(cache.embedded, request.params["embedding"][ids])
 
 
 @pytest.mark.parametrize("precision", ["float64", "float32"])
 @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
 @settings(max_examples=6, deadline=None)
 @given(
-    batch=st.sampled_from([3, 257]),
+    batch=st.sampled_from([1, 3, 257]),
     vocab=st.sampled_from([2, 9, 300]),
     pattern=st.sampled_from(["random", "padding rows", "one id"]),
     seed=st.integers(0, 2**16),
@@ -940,14 +918,15 @@ def _per_position_cache(model, ids):
 @example(batch=257, vocab=300, pattern="one id", seed=1)
 @example(batch=257, vocab=300, pattern="random", seed=2)
 @example(batch=3, vocab=9, pattern="random", seed=3)
+@example(batch=1, vocab=9, pattern="one id", seed=4)
 def test_backward_through_distinct_rows_matches_the_per_position_backward(
     precision, kernel, batch, vocab, pattern, seed
 ):
-    """Where the forward folded conv1 (B=257 always does; a lone distinct
-    id keeps one row in the cache), model_backward gives the per-position
-    gradients: bit for bit down to conv1's bias, and conv1's kernel and the
-    embedding up to summation order. It never embeds the batch, and ids
-    absent from the batch get exactly zero."""
+    """model_backward, which goes through the batch's distinct rows, gives
+    the per-position oracle's gradients: bit for bit down to conv1's bias,
+    and conv1's kernel and the embedding up to summation order (a lone
+    distinct id keeps one row in the cache). It never embeds the batch,
+    and ids absent from the batch get exactly zero."""
     config = ModelConfig(vocab_size=vocab, L=3 * kernel + 1, kernel=kernel, precision=precision)
     model = init_model(config, seed)
     rng = np.random.default_rng(seed)
@@ -955,10 +934,9 @@ def test_backward_through_distinct_rows_matches_the_per_position_backward(
     labels = rng.integers(1, 5, size=batch)
     _, cache = model.forward(ids)
     grads = model_backward(cache, labels)
-    oracle = model_backward(_per_position_cache(model, ids), labels)
+    oracle = per_position_model_backward(gemm_model_forward(model, ids)[1], labels)
 
-    assert hasattr(cache, "rows") == (batch == 257)
-    assert "embedded" not in vars(cache) or batch == 3
+    assert "embedded" not in vars(cache)
     # Both sides round in the model's dtype, in different orders; float32 differs by ~1e-6.
     tolerance = {"float64": 1e-12, "float32": 1e-4}[precision]
     for name in PARAM_NAMES:
@@ -982,8 +960,7 @@ def test_gradient_check_passes_on_a_batch_that_folds():
     )
     model = init_model(narrow, seed=1)
     rng = np.random.default_rng(5)
-    ids = rng.integers(0, 10, size=(14, 10))  # at least 130 repeated positions
-    assert hasattr(model.forward(ids)[1], "rows")
+    ids = rng.integers(0, 10, size=(14, 10))
     errors = gradient_check(model, ids, np.eye(4)[rng.integers(0, 4, size=14)])
     assert errors["embedding"] < 1e-4 and errors["conv1_kernel"] < 1e-4, errors
 
@@ -995,12 +972,13 @@ def test_backward_peak_memory_is_no_higher_than_the_per_position_backward():
     model = init_model(config, 0)
     ids = np.random.default_rng(0).integers(0, 107, size=(256, 64))
     labels = np.arange(256) % 4 + 1
-    caches = {"fold": model.forward(ids)[1], "oracle": _per_position_cache(model, ids)}
+    runs = {"fold": (model_backward, model.forward(ids)[1]),
+            "oracle": (per_position_model_backward, gemm_model_forward(model, ids)[1])}
     peaks = {}
-    for name, cache in caches.items():
+    for name, (backward, cache) in runs.items():
         tracemalloc.start()
         try:
-            model_backward(cache, labels)
+            backward(cache, labels)
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -28,6 +28,7 @@ from emoticnn.train import (
     encode_dataset,
     evaluate,
     one_hot,
+    predict_codes,
     split_dataset,
     train_model,
 )
@@ -221,6 +222,13 @@ def test_evaluate_rejects_empty_dataset():
     empty = (np.zeros((0, 10), dtype=np.int64), np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError, match="empty"):
         evaluate(model, empty)
+
+
+def test_predict_codes_of_no_rows_is_empty():
+    """Model.forward rejects an empty batch, so predict_codes must not pass one on."""
+    model = init_model(ModelConfig(vocab_size=10, L=10), 0)
+    preds = predict_codes(model, np.zeros((0, 10), dtype=np.int64))
+    assert preds.shape == (0,) and preds.dtype == np.int64
 
 
 # ------------------------------------------------------ encode_dataset
