@@ -65,7 +65,7 @@ print("gradient tensors:", ", ".join(f"{k}{list(v.shape)}" for k, v in grads.ite
 #    compared against a central finite difference. That costs two
 #    forward passes per parameter, so the demo narrows every layer
 #    (355 parameters); the acceptance suite sweeps the full-width
-#    tiny model. The check takes its label as a one-hot row.
+#    tiny model. Like the loss, the check takes category codes.
 # ------------------------------------------------------------------
 
 narrow = ModelConfig(
@@ -74,8 +74,8 @@ narrow = ModelConfig(
 tiny = init_model(narrow, seed=1)
 print("\nparameters in the narrow model:", sum(p.size for p in tiny.params.values()))
 tiny_ids = rng.integers(0, 10, size=(1, 10))
-tiny_onehot = np.eye(4)[[1]]
-errors = gradient_check(tiny, tiny_ids, tiny_onehot)
+tiny_labels = np.array([2])
+errors = gradient_check(tiny, tiny_ids, tiny_labels)
 for name, err in errors.items():
     print(f"   {name:<13} max relative error {err:.2e}")
 print("worst:", f"{max(errors.values()):.2e}")

@@ -62,7 +62,7 @@ print(f"vocabulary: {vocab.size} indices; tensors: {train_arrays[0].shape}")
 config = ModelConfig(vocab_size=vocab.size, L=length)
 model = init_model(config, seed=7)
 cfg = TrainConfig(batch_size=32, epochs=8, seed=7, mode=mode)
-model, history = train_model(model, train_arrays, test_arrays, cfg, vocab, length)
+model, history = train_model(model, train_arrays, test_arrays, cfg)
 
 print("\nepoch  train_loss  train_acc  test_acc")
 for r in history:

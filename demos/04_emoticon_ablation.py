@@ -53,7 +53,7 @@ for mode in (MODE_EMOTICON_TEXT, MODE_TEXT_ONLY):
     test_arrays = encode_dataset(test_tweets, vocab, lexicon, mode, length)
     model = init_model(ModelConfig(vocab_size=vocab.size, L=length), seed=1)
     cfg = TrainConfig(batch_size=32, epochs=10, seed=1, mode=mode)
-    _, history = train_model(model, train_arrays, test_arrays, cfg, vocab, length)
+    _, history = train_model(model, train_arrays, test_arrays, cfg)
     results[mode] = history
     print(f"trained {mode:<14} vocab={vocab.size:<4} "
           f"final test acc {history[-1].test_acc:.4f}")

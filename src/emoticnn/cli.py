@@ -228,7 +228,7 @@ def _run_training(
         vocab_size=vocab.size, L=length, precision=settings["precision"]
     )
     model = init_model(model_cfg, train_cfg.seed)
-    model, history = train_model(model, train_arrays, test_arrays, train_cfg, vocab, length)
+    model, history = train_model(model, train_arrays, test_arrays, train_cfg)
     accuracy, matrix = evaluate(model, test_arrays)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -301,8 +301,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     tweets = generate_synthetic(args.n, args.seed, not args.text_signal)
     out_path = Path(args.out)
-    if out_path.parent and not out_path.parent.exists():
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(tweets, out_path)
     print(f"wrote {len(tweets)} tweets to {out_path}")
     return 0

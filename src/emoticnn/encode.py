@@ -37,24 +37,19 @@ class Vocabulary:
         return cls(word_index={w: i + _NUM_RESERVED for i, w in enumerate(words)})
 
 
-def fit_vocabulary(corpus, size_cap: int | None = None) -> Vocabulary:
+def fit_vocabulary(corpus) -> Vocabulary:
     """Build a Vocabulary from normalized texts.
 
     Words are counted over whitespace-split tokens and ranked by
-    descending frequency, first-seen order breaking ties. With a
-    size_cap, only the top (size_cap - 2) words are kept so the total
-    index space, reserved slots included, stays within the cap.
+    descending frequency, first-seen order breaking ties.
     """
     texts = list(corpus)
     if not texts:
         raise ValueError("cannot fit a vocabulary on an empty corpus")
-    if size_cap is not None and size_cap < _NUM_RESERVED:
-        raise ValueError(f"size_cap must be at least {_NUM_RESERVED}, got {size_cap}")
 
     # A Counter keeps first-seen order, and most_common sorts stably.
     counts = Counter(token for text in texts for token in text.split())
-    keep = None if size_cap is None else size_cap - _NUM_RESERVED
-    return Vocabulary.from_words(word for word, _ in counts.most_common(keep))
+    return Vocabulary.from_words(word for word, _ in counts.most_common())
 
 
 def encode(text: str, vocab: Vocabulary) -> list[int]:

@@ -11,7 +11,8 @@ walk that table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -100,6 +101,11 @@ class ModelConfig:
     precision: str = "float64"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if f.type == "int" and not integral:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.precision not in _DTYPES:
             raise ValueError(
                 f"precision must be one of {sorted(_DTYPES)}, got {self.precision!r}"
@@ -280,12 +286,6 @@ def softmax(z) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
-
-
-def _validate_one_hot(onehot: np.ndarray, classes: int) -> None:
-    rows_ok = np.all((onehot == 0) | (onehot == 1)) and np.all(onehot.sum(axis=-1) == 1)
-    if onehot.shape[-1] != classes or not rows_ok:
-        raise ValueError(f"labels must be one-hot rows of {classes} classes")
 
 
 def check_codes(labels, classes: int, shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -588,21 +588,17 @@ def rmsprop_step(model: Model, grads: dict[str, np.ndarray], state: RmsPropState
     model._version += 1
 
 
-def gradient_check(
-    model: Model, ids, onehot, step_scale: float = 1e-5
-) -> dict[str, float]:
+def gradient_check(model: Model, ids, labels) -> dict[str, float]:
     """Worst relative error between analytic and numeric gradients.
 
-    For every coordinate of every parameter tensor, compares the
-    analytic batch-mean loss gradient against central finite differences
-    with step step_scale * max(1, |theta|). The relative error uses
+    labels holds one category code 1..classes per example. For every
+    coordinate of every parameter tensor, compares the analytic
+    batch-mean loss gradient against central finite differences with
+    step 1e-5 * max(1, |theta|). The relative error uses
     |a - n| / max(|a|, |n|, 1e-6). Requires a float64 model.
     """
     if model.config.precision != "float64":
         raise ValueError("gradient_check requires a float64 model")
-    onehot = np.atleast_2d(np.asarray(onehot, dtype=float))
-    _validate_one_hot(onehot, model.config.classes)
-    labels = onehot.argmax(axis=-1) + 1
     _, cache = model.forward(ids)
     analytic = model_backward(cache, labels)
 
@@ -618,7 +614,7 @@ def gradient_check(
         flat_numeric = numeric.reshape(-1)
         for i in range(flat_theta.size):
             original = flat_theta[i]
-            step = step_scale * max(1.0, abs(original))
+            step = 1e-5 * max(1.0, abs(original))
             flat_theta[i] = original + step
             plus = loss()
             flat_theta[i] = original - step

@@ -114,9 +114,7 @@ def load_model(model_dir) -> tuple[Model, Vocabulary, EmoticonLexicon, TrainConf
             (str(e["name"]), tuple(int(d) for d in e["shape"]), int(e["offset"]))
             for e in layout
         ]
-    except PersistError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PersistError(f"invalid manifest: {exc}") from exc
 
     vocab = Vocabulary.from_words(words)

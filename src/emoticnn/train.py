@@ -200,12 +200,11 @@ def train_model(
     train_set: tuple[np.ndarray, np.ndarray],
     test_set: tuple[np.ndarray, np.ndarray],
     cfg: TrainConfig,
-    vocab: Vocabulary,
-    length: int,
 ) -> tuple[Model, History]:
     """Run the full training loop, mutating and returning the model.
 
-    Expects already encoded-and-padded (ids, labels) pairs. Each epoch
+    Expects (ids, labels) pairs already encoded and padded to the
+    model's length L, with ids below its vocab_size. Each epoch
     reshuffles the training set with a seed of cfg.seed XOR the 1-based
     epoch number, so runs are reproducible yet batches vary by epoch.
     Raises TrainingDiverged if a batch loss stops being finite, naming
@@ -214,13 +213,7 @@ def train_model(
     """
     train_ids, train_labels = np.asarray(train_set[0]), np.asarray(train_set[1])
     test_ids, test_labels = np.asarray(test_set[0]), np.asarray(test_set[1])
-    cfg_model = model.config
-    if cfg_model.L != length:
-        raise ValueError(f"model expects length {cfg_model.L}, got {length}")
-    if vocab.size != cfg_model.vocab_size:
-        raise ValueError(
-            f"model expects vocab size {cfg_model.vocab_size}, got {vocab.size}"
-        )
+    length = model.config.L
     for name, ids in (("train", train_ids), ("test", test_ids)):
         if ids.ndim != 2 or ids.shape[1] != length:
             raise ValueError(f"{name} ids must have shape (n, {length}), got {ids.shape}")

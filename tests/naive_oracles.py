@@ -204,11 +204,10 @@ def naive_rmsprop(theta, grad, acc, lr, rho, epsilon):
     return theta - lr * grad / (acc**0.5 + epsilon), acc
 
 
-def naive_fit_vocabulary(texts, size_cap=None) -> dict[str, int]:
+def naive_fit_vocabulary(texts) -> dict[str, int]:
     """Word-to-index map ranked by descending count, first-seen order breaking ties.
 
-    Indices start at 2, after the padding and out-of-vocabulary slots; a
-    size_cap keeps the top (size_cap - 2) words.
+    Indices start at 2, after the padding and out-of-vocabulary slots.
     """
     counts: dict[str, int] = {}
     first_seen: dict[str, int] = {}
@@ -221,8 +220,6 @@ def naive_fit_vocabulary(texts, size_cap=None) -> dict[str, int]:
                 position += 1
 
     ranked = sorted(counts, key=lambda w: (-counts[w], first_seen[w]))
-    if size_cap is not None:
-        ranked = ranked[: size_cap - 2]
     return {word: index for index, word in enumerate(ranked, start=2)}
 
 

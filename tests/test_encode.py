@@ -41,21 +41,6 @@ def test_fit_accepts_blank_texts():
     assert vocab.size == 2
 
 
-def test_size_cap_keeps_most_frequent_words():
-    vocab = fit_vocabulary(["x x x y y z"], size_cap=3)
-    assert vocab.word_index == {"x": 2}
-    assert vocab.size == 3
-
-
-def test_size_cap_of_two_keeps_nothing():
-    assert fit_vocabulary(["a b"], size_cap=2).word_index == {}
-
-
-def test_size_cap_below_reserved_rejected():
-    with pytest.raises(ValueError, match="size_cap"):
-        fit_vocabulary(["a"], size_cap=1)
-
-
 def test_encode_maps_known_and_unknown_words():
     vocab = fit_vocabulary(["a b a", "b c"])
     assert encode("a c a zzz", vocab) == [2, 4, 2, OOV_INDEX]
@@ -114,11 +99,7 @@ def test_encode_of_fitted_corpus_never_hits_oov(words):
 
 
 @settings(max_examples=200)
-@given(st.lists(st.lists(st.sampled_from("abcd"), max_size=8).map(" ".join), min_size=1, max_size=8),
-       st.data())
-def test_fit_vocabulary_matches_naive_oracle(texts, data):
+@given(st.lists(st.lists(st.sampled_from("abcd"), max_size=8).map(" ".join), min_size=1, max_size=8))
+def test_fit_vocabulary_matches_naive_oracle(texts):
     # Four words over up to 64 tokens: tied counts are the common case.
-    # A cap runs from 2 to the vocabulary size (reserved slots included) plus 2.
-    vocab_size = len({token for text in texts for token in text.split()}) + 2
-    size_cap = data.draw(st.none() | st.integers(min_value=2, max_value=vocab_size + 2))
-    assert fit_vocabulary(texts, size_cap).word_index == naive_fit_vocabulary(texts, size_cap)
+    assert fit_vocabulary(texts).word_index == naive_fit_vocabulary(texts)

@@ -577,20 +577,20 @@ def test_sampled_coordinates_match_finite_differences():
 def test_gradient_check_requires_float64():
     model = init_model(ModelConfig(vocab_size=10, L=10, precision="float32"), 0)
     with pytest.raises(ValueError, match="float64"):
-        gradient_check(model, np.zeros((1, 10), dtype=int), np.eye(4)[:1])
+        gradient_check(model, np.zeros((1, 10), dtype=int), [1])
 
 
-NOT_ONE_HOT = {
-    "three classes": np.eye(3)[:1],
-    "fractional": np.array([[0.5, 0.5, 0.0, 0.0]]),
-    "two hot": np.array([[1.0, 1.0, 0.0, 0.0]]),
+NOT_CODES = {
+    "code 5": [5],
+    "fractional": [1.5],
+    "one-hot row": np.eye(4, dtype=int)[:1],
 }
 
 
-@pytest.mark.parametrize("onehot", NOT_ONE_HOT.values(), ids=NOT_ONE_HOT.keys())
-def test_gradient_check_rejects_labels_that_are_not_one_hot(onehot):
-    with pytest.raises(ValueError, match="one-hot"):
-        gradient_check(tiny_model(), np.zeros((1, 10), dtype=int), onehot)
+@pytest.mark.parametrize("labels", NOT_CODES.values(), ids=NOT_CODES.keys())
+def test_gradient_check_rejects_labels_that_are_not_codes(labels):
+    with pytest.raises(ValueError, match="labels must"):
+        gradient_check(tiny_model(), np.zeros((1, 10), dtype=int), labels)
 
 
 # ------------------------------------------------------------- init
@@ -961,7 +961,7 @@ def test_gradient_check_passes_on_a_batch_that_folds():
     model = init_model(narrow, seed=1)
     rng = np.random.default_rng(5)
     ids = rng.integers(0, 10, size=(14, 10))
-    errors = gradient_check(model, ids, np.eye(4)[rng.integers(0, 4, size=14)])
+    errors = gradient_check(model, ids, rng.integers(1, 5, size=14))
     assert errors["embedding"] < 1e-4 and errors["conv1_kernel"] < 1e-4, errors
 
 

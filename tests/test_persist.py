@@ -230,6 +230,14 @@ def test_total_bytes_mismatch_rejected(tmp_path):
         load_model(target)
 
 
+def test_infinite_byte_count_rejected(tmp_path):
+    target, *_ = saved_dir(tmp_path)
+    # json writes the float as Infinity and reads it back; int() then overflows.
+    edit_manifest(target, lambda d: d["weights"].update(total_bytes=float("inf")))
+    with pytest.raises(PersistError, match="invalid manifest: cannot convert float infinity"):
+        load_model(target)
+
+
 def test_truncated_blob_rejected(tmp_path):
     target, *_ = saved_dir(tmp_path)
     blob = (target / WEIGHTS_NAME).read_bytes()
@@ -265,4 +273,17 @@ def test_bad_model_config_value_rejected(tmp_path):
     target, *_ = saved_dir(tmp_path)
     edit_manifest(target, lambda d: d["model_config"].update(L=4))
     with pytest.raises(PersistError, match="invalid manifest"):
+        load_model(target)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("L", 10.0), ("vocab_size", 12.0), ("embed_dim", 128.0), ("kernel", 3.0),
+     ("dense_hidden", True), ("L", "10")],
+)
+def test_size_that_is_not_an_integer_rejected(tmp_path, key, value):
+    target, *_ = saved_dir(tmp_path)
+    edit_manifest(target, lambda d: d["model_config"].update({key: value}))
+    message = f"invalid manifest: {key} must be an integer, got {value!r}"
+    with pytest.raises(PersistError, match=message):
         load_model(target)

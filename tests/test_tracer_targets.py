@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from emoticnn import cli, corpus, nn, train
-from emoticnn.encode import Vocabulary
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -129,12 +128,11 @@ def test_training_batch_calls_loss_backward_and_step_without_one_hot():
     model = nn.init_model(nn.ModelConfig(vocab_size=12, L=10), seed=0)
     rng = np.random.default_rng(0)
     data = (rng.integers(0, 12, size=(5, 10)), np.array([1, 2, 3, 4, 1]))
-    vocab = Vocabulary({f"w{i}": i + 2 for i in range(10)})
     cfg = train.TrainConfig(batch_size=8, epochs=1)
     tracer = SPANS.Tracer()
     tracer.install()
     try:
-        train.train_model(model, data, data, cfg, vocab, 10)
+        train.train_model(model, data, data, cfg)
     finally:
         tracer.uninstall()
 

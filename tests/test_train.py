@@ -17,7 +17,7 @@ from emoticnn.corpus import (
     generate_synthetic,
     preprocess,
 )
-from emoticnn.encode import Vocabulary, fit_vocabulary
+from emoticnn.encode import fit_vocabulary
 from emoticnn.nn import PARAM_NAMES, ModelConfig, init_model, rmsprop_step
 from emoticnn.train import (
     ConfusionMatrix,
@@ -39,10 +39,6 @@ def toy_dataset(n: int = 16, length: int = 10, vocab_size: int = 10, seed: int =
     ids = rng.integers(0, vocab_size, size=(n, length))
     labels = (np.arange(n) % 4 + 1).astype(np.int64)
     return ids, labels
-
-
-def toy_vocab(vocab_size: int = 10) -> Vocabulary:
-    return Vocabulary({f"w{i}": i + 2 for i in range(vocab_size - 2)})
 
 
 # ------------------------------------------------------------- split
@@ -259,7 +255,7 @@ def make_training_setup(epochs: int = 3, batch_size: int = 4, lr: float = 0.001)
 
 def test_train_model_history_layout():
     model, data, cfg = make_training_setup(epochs=3)
-    _, history = train_model(model, data, data, cfg, toy_vocab(), 10)
+    _, history = train_model(model, data, data, cfg)
     assert len(history) == 3
     assert [r.epoch for r in history] == [1, 2, 3]
     for record in history:
@@ -272,7 +268,7 @@ def test_train_model_history_layout():
 def test_train_model_accuracies_are_exact_count_ratios():
     model, data, cfg = make_training_setup(epochs=2)
     n = data[0].shape[0]
-    _, history = train_model(model, data, data, cfg, toy_vocab(), 10)
+    _, history = train_model(model, data, data, cfg)
     for record in history:
         assert (record.train_acc * n) == pytest.approx(round(record.train_acc * n))
         assert (record.test_acc * n) == pytest.approx(round(record.test_acc * n))
@@ -282,7 +278,7 @@ def test_train_model_is_bitwise_deterministic():
     runs = []
     for _ in range(2):
         model, data, cfg = make_training_setup(epochs=3)
-        _, history = train_model(model, data, data, cfg, toy_vocab(), 10)
+        _, history = train_model(model, data, data, cfg)
         runs.append((history, {k: v.copy() for k, v in model.params.items()}))
     (hist_a, params_a), (hist_b, params_b) = runs
     assert hist_a == hist_b
@@ -293,11 +289,11 @@ def test_train_model_is_bitwise_deterministic():
 def test_train_model_seed_changes_trajectory():
     model_a, data, _ = make_training_setup(epochs=2)
     _, hist_a = train_model(
-        model_a, data, data, TrainConfig(batch_size=4, epochs=2, seed=1), toy_vocab(), 10
+        model_a, data, data, TrainConfig(batch_size=4, epochs=2, seed=1)
     )
     model_b, _, _ = make_training_setup(epochs=2)
     _, hist_b = train_model(
-        model_b, data, data, TrainConfig(batch_size=4, epochs=2, seed=2), toy_vocab(), 10
+        model_b, data, data, TrainConfig(batch_size=4, epochs=2, seed=2)
     )
     assert hist_a != hist_b
 
@@ -312,7 +308,7 @@ def test_single_oversized_batch_takes_one_step_per_epoch(monkeypatch):
     monkeypatch.setattr(train_module, "rmsprop_step", counting_step)
     model, data, _ = make_training_setup()
     cfg = TrainConfig(batch_size=999, epochs=1, seed=0)
-    train_model(model, data, data, cfg, toy_vocab(), 10)
+    train_model(model, data, data, cfg)
     assert len(calls) == 1
 
 
@@ -326,13 +322,13 @@ def test_batches_per_epoch_counts_partial_batch(monkeypatch):
     monkeypatch.setattr(train_module, "rmsprop_step", counting_step)
     model, data, _ = make_training_setup()  # 16 examples
     cfg = TrainConfig(batch_size=6, epochs=2, seed=0)
-    train_model(model, data, data, cfg, toy_vocab(), 10)
+    train_model(model, data, data, cfg)
     assert len(calls) == 6  # ceil(16 / 6) = 3 per epoch
 
 
 def test_training_reduces_loss_on_small_corpus():
     model, data, cfg = make_training_setup(epochs=30, batch_size=4)
-    _, history = train_model(model, data, data, cfg, toy_vocab(), 10)
+    _, history = train_model(model, data, data, cfg)
     assert history[-1].train_loss < history[0].train_loss
 
 
@@ -340,7 +336,7 @@ def test_huge_learning_rate_raises_diverged():
     model, data, _ = make_training_setup()
     cfg = TrainConfig(batch_size=4, epochs=3, seed=0, lr=1e100)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="non-finite loss") as excinfo:
-        train_model(model, data, data, cfg, toy_vocab(), 10)
+        train_model(model, data, data, cfg)
     # The first update blows the weights up; the second batch's forward pass overflows.
     assert str(excinfo.value) == (
         "non-finite loss in epoch 1, batch 2: first non-finite tensor is dense1"
@@ -369,7 +365,7 @@ def test_divergence_names_the_layer_of_a_nan_parameter(param):
     model.params[param].flat[0] = np.nan
     cfg = TrainConfig(batch_size=ids.shape[0], epochs=1, seed=0)
     with pytest.raises(TrainingDiverged) as excinfo:
-        train_model(model, data, data, cfg, toy_vocab(), 10)
+        train_model(model, data, data, cfg)
     assert str(excinfo.value) == (
         "non-finite loss in epoch 1, batch 1: "
         f"first non-finite tensor is {DIVERGING_LAYER[param]}"
@@ -378,10 +374,13 @@ def test_divergence_names_the_layer_of_a_nan_parameter(param):
 
 def test_train_model_validates_geometry():
     model, data, cfg = make_training_setup()
-    with pytest.raises(ValueError, match="length"):
-        train_model(model, data, data, cfg, toy_vocab(), 12)
-    with pytest.raises(ValueError, match="vocab"):
-        train_model(model, data, data, cfg, toy_vocab(vocab_size=50), 10)
+    wide = toy_dataset(length=12)
+    with pytest.raises(ValueError, match=r"train ids must have shape \(n, 10\)"):
+        train_model(model, wide, data, cfg)
+    with pytest.raises(ValueError, match=r"test ids must have shape \(n, 10\)"):
+        train_model(model, data, wide, cfg)
+    with pytest.raises(ValueError, match=r"sequence ids must lie in \[0, 10\)"):
+        train_model(model, toy_dataset(vocab_size=50), data, cfg)
 
 
 @pytest.mark.parametrize("code", [0, 5])
@@ -391,7 +390,7 @@ def test_train_model_rejects_label_codes_outside_1_to_4(code):
     labels[3] = code
     cfg = TrainConfig(batch_size=999, epochs=1)
     with pytest.raises(ValueError, match=r"labels must lie in \[1, 4\]"):
-        train_model(model, (ids, labels), (ids, labels), cfg, toy_vocab(), 10)
+        train_model(model, (ids, labels), (ids, labels), cfg)
 
 
 def test_train_config_validation():
@@ -423,7 +422,7 @@ def test_end_to_end_synthetic_smoke():
     config = ModelConfig(vocab_size=vocab.size, L=14)
     model = init_model(config, 0)
     cfg = TrainConfig(batch_size=8, epochs=8, seed=0)
-    _, history = train_model(model, train_set, test_set, cfg, vocab, 14)
+    _, history = train_model(model, train_set, test_set, cfg)
     accuracy, matrix = evaluate(model, test_set)
     assert accuracy == history[-1].test_acc
     assert matrix.total == len(test_tweets)
