@@ -150,19 +150,19 @@ def run_commands(files: dict[str, bytes], name: str, mutated: bytes) -> None:
 
 @pytest.mark.parametrize("name, sections", [
     ("model.json", ("model_config", "train_config")),
-    ("config.json", ()),
+    ("config.json", (None,)),
 ])
 def test_every_type_swap_of_a_setting_exits_0_or_1_with_an_error_line(originals, name, sections):
     """Each setting of model.json's configs and of the --config file, swapped
     in turn for a float, a string, null, a bool and the other types."""
     doc = json.loads(originals[name])
-    for section in sections or [None]:
-        settings_ = doc[section] if section else doc
-        for key, value in list(settings_.items()):
+    for section in sections:
+        table = doc[section] if section else doc
+        for key, value in list(table.items()):
             for swap in type_swaps(value):
-                settings_[key] = swap
+                table[key] = swap
                 run_commands(originals, name, json.dumps(doc).encode())
-            settings_[key] = value
+            table[key] = value
 
 
 @settings(max_examples=60, deadline=None)
