@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .corpus import CATEGORY_CODES
+
 __all__ = [
     "LAYERS",
     "LOSS_CLAMP",
@@ -77,6 +79,17 @@ PARAM_NAMES = tuple(name for layer in LAYERS for name in layer.params)
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
+def check_field_types(config) -> None:
+    """Check each field against its annotation: int, float (an int also does) or str; no bool."""
+    kinds = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
+             "str": (str, "a string")}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind, name = kinds[f.type]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{f.name} must be {name}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Hyperparameters of the fixed convolutional stack in LAYERS.
@@ -101,11 +114,9 @@ class ModelConfig:
     precision: str = "float64"
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            if f.type == "int" and not integral:
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        check_field_types(self)
+        if self.classes != len(CATEGORY_CODES):
+            raise ValueError(f"classes must be {len(CATEGORY_CODES)}, got {self.classes}")
         if self.precision not in _DTYPES:
             raise ValueError(
                 f"precision must be one of {sorted(_DTYPES)}, got {self.precision!r}"

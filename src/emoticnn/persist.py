@@ -4,15 +4,16 @@
 and training configuration, the vocabulary in index order, the emoticon
 lexicon, and a byte-layout table for ``weights.bin``. The blob is plain
 IEEE-754 little-endian data, parameters concatenated in canonical order,
-so a round trip restores weights bit-exactly. Loading validates the
-format version, the layout table (ascending, contiguous, covering the
-blob exactly), the declared shapes, and weight finiteness before
-returning anything.
+so a round trip restores weights bit-exactly. The layout table follows
+from the model config alone: saving writes it, and loading requires the
+manifest's to equal it and checks the format version, the blob size and
+weight finiteness before returning anything.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -46,6 +47,29 @@ def _blob_dtype(config: ModelConfig) -> np.dtype:
     return np.dtype(config.dtype).newbyteorder("<")
 
 
+def _weights_table(config: ModelConfig) -> dict:
+    """The manifest's weights object: each tensor's shape and byte offset in weights.bin."""
+    width = _blob_dtype(config).itemsize
+    shapes = config.param_shapes()
+    layout, offset = [], 0
+    for name in PARAM_NAMES:
+        layout.append({"name": name, "shape": list(shapes[name]), "offset": offset})
+        offset += math.prod(shapes[name]) * width
+    return {"file": WEIGHTS_NAME, "layout": layout, "total_bytes": offset}
+
+
+def _require_equal(where: str, found, implied) -> None:
+    """Raise PersistError naming the first place where found differs from implied."""
+    if isinstance(implied, dict) and isinstance(found, dict) and found.keys() == implied.keys():
+        for key, value in implied.items():
+            _require_equal(f"{where}.{key}", found[key], value)
+    elif isinstance(implied, list) and isinstance(found, list) and len(found) == len(implied):
+        for index, value in enumerate(implied):
+            _require_equal(f"{where}[{index}]", found[index], value)
+    elif isinstance(implied, dict | list) or isinstance(found, bool) or found != implied:
+        raise PersistError(f"invalid manifest: {where} is {found!r}, the model config implies {implied!r}")
+
+
 def save_model(
     model: Model,
     vocab: Vocabulary,
@@ -57,14 +81,11 @@ def save_model(
     out = Path(model_dir)
     out.mkdir(parents=True, exist_ok=True)
     blob_dtype = _blob_dtype(model.config)
-
     blob = bytearray()
-    layout = []
     for name in PARAM_NAMES:
         array = model.params[name]
         if not np.all(np.isfinite(array)):
             raise PersistError(f"non-finite parameter in {name}")
-        layout.append({"name": name, "shape": list(array.shape), "offset": len(blob)})
         blob += np.ascontiguousarray(array).astype(blob_dtype).tobytes()
 
     manifest = {
@@ -73,11 +94,7 @@ def save_model(
         "train_config": asdict(train_cfg),
         "vocabulary": vocab.words(),
         "lexicon": lexicon.to_rows(),
-        "weights": {
-            "file": WEIGHTS_NAME,
-            "layout": layout,
-            "total_bytes": len(blob),
-        },
+        "weights": _weights_table(model.config),
     }
     manifest_text = json.dumps(manifest, ensure_ascii=False, indent=2) + "\n"
     (out / MANIFEST_NAME).write_text(manifest_text, encoding="utf-8")
@@ -107,14 +124,8 @@ def load_model(model_dir) -> tuple[Model, Vocabulary, EmoticonLexicon, TrainConf
         train_cfg = TrainConfig(**data["train_config"])
         words = [str(word) for word in data["vocabulary"]]
         lexicon = EmoticonLexicon({str(emoji): str(phrase) for emoji, phrase in data["lexicon"]})
-        weights_meta = data["weights"]
-        layout = list(weights_meta["layout"])
-        declared_total = int(weights_meta["total_bytes"])
-        entries = [
-            (str(e["name"]), tuple(int(d) for d in e["shape"]), int(e["offset"]))
-            for e in layout
-        ]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        found_weights = data["weights"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise PersistError(f"invalid manifest: {exc}") from exc
 
     vocab = Vocabulary.from_words(words)
@@ -123,46 +134,21 @@ def load_model(model_dir) -> tuple[Model, Vocabulary, EmoticonLexicon, TrainConf
             f"vocabulary holds {vocab.size} indices but the model config "
             f"expects {model_cfg.vocab_size}"
         )
-
-    if [name for name, _, _ in entries] != list(PARAM_NAMES):
-        raise PersistError("layout parameter names are wrong or out of order")
-    expected_shapes = model_cfg.param_shapes()
-    blob_dtype = _blob_dtype(model_cfg)
-    width = blob_dtype.itemsize
-    running_offset = 0
-    for name, shape, offset in entries:
-        if shape != expected_shapes[name]:
-            raise PersistError(
-                f"{name} has shape {shape} in the manifest, expected {expected_shapes[name]}"
-            )
-        if offset != running_offset:
-            raise PersistError(
-                f"offset table corrupt at {name}: offset {offset}, expected {running_offset}"
-            )
-        running_offset = offset + int(np.prod(shape)) * width
-    if running_offset != declared_total:
-        raise PersistError(
-            f"offset table covers {running_offset} bytes but the manifest "
-            f"declares {declared_total}"
-        )
+    weights = _weights_table(model_cfg)
+    _require_equal("weights", found_weights, weights)
 
     blob = weights_path.read_bytes()
-    if len(blob) != running_offset:
+    if len(blob) != weights["total_bytes"]:
         raise PersistError(
             f"blob size mismatch: weights.bin has {len(blob)} bytes, "
-            f"the manifest expects {running_offset}"
+            f"the manifest expects {weights['total_bytes']}"
         )
 
     params: dict[str, np.ndarray] = {}
-    for name, shape, offset in entries:
-        count = int(np.prod(shape))
-        array = (
-            np.frombuffer(blob, dtype=blob_dtype, count=count, offset=offset)
-            .reshape(shape)
-            .astype(model_cfg.dtype)
-        )
+    for entry in weights["layout"]:
+        array = np.frombuffer(blob, _blob_dtype(model_cfg), math.prod(entry["shape"]), entry["offset"])
         if not np.all(np.isfinite(array)):
-            raise PersistError(f"non-finite parameter in {name}")
-        params[name] = array
+            raise PersistError(f"non-finite parameter in {entry['name']}")
+        params[entry["name"]] = array.reshape(entry["shape"]).astype(model_cfg.dtype)
 
     return Model(config=model_cfg, params=params), vocab, lexicon, train_cfg

@@ -10,14 +10,15 @@ epoch from the history.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import CATEGORY_CODES, MODE_EMOTICON_TEXT, MODE_TEXT_ONLY, Tweet, preprocess
 from .encode import Vocabulary, encode, pad
-from .nn import LAYERS, Model, RmsPropState, check_codes, cross_entropy, model_backward, rmsprop_step
+from .nn import (LAYERS, Model, RmsPropState, check_codes, check_field_types, cross_entropy,
+                 model_backward, rmsprop_step)
 
 __all__ = [
     "ConfusionMatrix",
@@ -56,6 +57,7 @@ class TrainConfig:
     mode: str = MODE_EMOTICON_TEXT
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -64,8 +66,8 @@ class TrainConfig:
             raise ValueError(f"split_ratio must lie in (0, 1), got {self.split_ratio}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        finite = math.isfinite(self.lr) and math.isfinite(self.epsilon)
-        if not finite or self.lr <= 0 or self.epsilon <= 0 or not 0.0 <= self.rho < 1.0:
+        finite = all(0 < value <= sys.float_info.max for value in (self.lr, self.epsilon))
+        if not finite or not 0.0 <= self.rho < 1.0:
             raise ValueError(
                 "optimizer hyperparameters out of range: "
                 f"lr={self.lr!r}, rho={self.rho!r}, epsilon={self.epsilon!r}"

@@ -439,6 +439,39 @@ def test_truncated_manifest_names_its_file_line_and_column(trained_run, tmp_path
     )
 
 
+def three_class_model(trained_run, target):
+    """A copy of trained_run cut to 3 classes, its weights table consistent with that."""
+    shutil.copytree(trained_run, target)
+    manifest = json.loads((target / "model.json").read_text(encoding="utf-8"))
+    model, *_ = load_model(trained_run)
+    weights = manifest["weights"]
+    *_, dense2_weight, dense2_bias = weights["layout"]
+    blob = (target / "weights.bin").read_bytes()[: dense2_weight["offset"]]
+    blob += (model.params["dense2_weight"][:, :3].astype("<f8").tobytes()
+             + model.params["dense2_bias"][:3].astype("<f8").tobytes())
+    manifest["model_config"]["classes"] = 3
+    dense2_weight["shape"][1] = dense2_bias["shape"][0] = 3
+    dense2_bias["offset"] = dense2_weight["offset"] + dense2_weight["shape"][0] * 3 * 8
+    weights["total_bytes"] = len(blob)
+    (target / "model.json").write_text(json.dumps(manifest), encoding="utf-8")
+    (target / "weights.bin").write_bytes(blob)
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_model_with_other_than_four_classes_fails_cleanly(trained_run, tmp_path, capsys, command):
+    broken = tmp_path / "three"
+    three_class_model(trained_run, broken)
+    if command == "eval":
+        argv = ["eval", "--model", str(broken), "--data", str(trained_run / "test.csv"),
+                "--out", str(tmp_path / "out")]
+    else:
+        argv = ["predict", "--model", str(broken), "--text", "hello"]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid manifest: classes must be 4, got 3\n"
+
+
 def test_eval_missing_model_dir_fails(trained_run, tmp_path, capsys):
     rc = cli_main(
         ["eval", "--model", str(tmp_path / "ghost"), "--data", str(trained_run / "test.csv")]

@@ -770,6 +770,12 @@ def test_config_rejects_other_pooling():
         ModelConfig(vocab_size=10, L=10, pool=3, pool_stride=3)
 
 
+@pytest.mark.parametrize("classes", [3, 5])
+def test_config_rejects_other_than_one_class_per_category(classes):
+    with pytest.raises(ValueError, match=f"classes must be 4, got {classes}"):
+        ModelConfig(vocab_size=10, L=10, classes=classes)
+
+
 # ------------------------------------------------------------ forward
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -189,6 +190,10 @@ def test_vocab_size_mismatch_rejected(tmp_path):
         load_model(target)
 
 
+def total_bytes(model_dir) -> int:
+    return (model_dir / WEIGHTS_NAME).stat().st_size
+
+
 def test_reordered_layout_rejected(tmp_path):
     target, *_ = saved_dir(tmp_path)
 
@@ -197,7 +202,9 @@ def test_reordered_layout_rejected(tmp_path):
         layout[0]["name"], layout[1]["name"] = layout[1]["name"], layout[0]["name"]
 
     edit_manifest(target, swap)
-    with pytest.raises(PersistError, match="wrong or out of order"):
+    message = ("invalid manifest: weights.layout[0].name is 'conv1_kernel', "
+               "the model config implies 'embedding'")
+    with pytest.raises(PersistError, match=re.escape(message)):
         load_model(target)
 
 
@@ -208,7 +215,8 @@ def test_tampered_shape_rejected(tmp_path):
         d["weights"]["layout"][0]["shape"][0] += 1
 
     edit_manifest(target, grow)
-    with pytest.raises(PersistError, match="embedding has shape"):
+    message = "invalid manifest: weights.layout[0].shape[0] is 13, the model config implies 12"
+    with pytest.raises(PersistError, match=re.escape(message)):
         load_model(target)
 
 
@@ -219,23 +227,65 @@ def test_tampered_offset_rejected(tmp_path):
         d["weights"]["layout"][1]["offset"] += 8
 
     edit_manifest(target, shift)
-    with pytest.raises(PersistError, match="offset table corrupt at conv1_kernel"):
+    embedding_bytes = 12 * 128 * 8
+    message = (f"invalid manifest: weights.layout[1].offset is {embedding_bytes + 8}, "
+               f"the model config implies {embedding_bytes}")
+    with pytest.raises(PersistError, match=re.escape(message)):
         load_model(target)
 
 
 def test_total_bytes_mismatch_rejected(tmp_path):
     target, *_ = saved_dir(tmp_path)
     edit_manifest(target, lambda d: d["weights"].update(total_bytes=1))
-    with pytest.raises(PersistError, match="declares 1"):
+    message = (f"invalid manifest: weights.total_bytes is 1, "
+               f"the model config implies {total_bytes(target)}")
+    with pytest.raises(PersistError, match=re.escape(message)):
         load_model(target)
 
 
 def test_infinite_byte_count_rejected(tmp_path):
     target, *_ = saved_dir(tmp_path)
-    # json writes the float as Infinity and reads it back; int() then overflows.
+    # json writes the float as Infinity and reads it back as inf.
     edit_manifest(target, lambda d: d["weights"].update(total_bytes=float("inf")))
-    with pytest.raises(PersistError, match="invalid manifest: cannot convert float infinity"):
+    message = (f"invalid manifest: weights.total_bytes is inf, "
+               f"the model config implies {total_bytes(target)}")
+    with pytest.raises(PersistError, match=re.escape(message)):
         load_model(target)
+
+
+@pytest.mark.parametrize(
+    "where, mutate",
+    [
+        ("weights.layout[0].shape[0]", lambda w: w["layout"][0]["shape"].__setitem__(0, 12.5)),
+        ("weights.layout[1].offset", lambda w: w["layout"][1].update(offset=w["layout"][1]["offset"] + 0.5)),
+        ("weights.total_bytes", lambda w: w.update(total_bytes=w["total_bytes"] + 0.5)),
+        ("weights.layout[0].offset", lambda w: w["layout"][0].update(offset=False)),
+        ("weights.file", lambda w: w.update(file="other.bin")),
+        ("weights is", lambda w: w.update(extra=1)),
+        ("weights.layout is", lambda w: w["layout"].pop()),
+        ("weights.layout[2] is", lambda w: w["layout"][2].pop("offset")),
+    ],
+)
+def test_weights_table_that_differs_from_the_config_rejected(tmp_path, where, mutate):
+    """Fractional layout numbers, a bool, another blob name, an extra key and
+    a missing entry all differ from the table the model config implies."""
+    target, *_ = saved_dir(tmp_path)
+    edit_manifest(target, lambda d: mutate(d["weights"]))
+    with pytest.raises(PersistError, match=re.escape(f"invalid manifest: {where}")):
+        load_model(target)
+
+
+def test_weights_table_numbers_that_equal_the_config_load(tmp_path):
+    target, model, *_ = saved_dir(tmp_path)
+
+    def as_floats(d):
+        d["weights"]["layout"][0]["shape"] = [12.0, 128.0]
+        d["weights"]["total_bytes"] = float(d["weights"]["total_bytes"])
+
+    edit_manifest(target, as_floats)
+    loaded, *_ = load_model(target)
+    assert loaded.params["embedding"].shape == (12, 128)
+    assert np.array_equal(loaded.params["embedding"], model.params["embedding"])
 
 
 def test_truncated_blob_rejected(tmp_path):
@@ -286,4 +336,20 @@ def test_size_that_is_not_an_integer_rejected(tmp_path, key, value):
     edit_manifest(target, lambda d: d["model_config"].update({key: value}))
     message = f"invalid manifest: {key} must be an integer, got {value!r}"
     with pytest.raises(PersistError, match=message):
+        load_model(target)
+
+
+@pytest.mark.parametrize("key, value", [("batch_size", 8.5), ("epochs", 2.0), ("seed", True)])
+def test_train_config_value_that_is_not_an_integer_rejected(tmp_path, key, value):
+    target, *_ = saved_dir(tmp_path)
+    edit_manifest(target, lambda d: d["train_config"].update({key: value}))
+    message = f"invalid manifest: {key} must be an integer, got {value!r}"
+    with pytest.raises(PersistError, match=re.escape(message)):
+        load_model(target)
+
+
+def test_model_config_with_other_than_four_classes_rejected(tmp_path):
+    target, *_ = saved_dir(tmp_path)
+    edit_manifest(target, lambda d: d["model_config"].update(classes=3))
+    with pytest.raises(PersistError, match="invalid manifest: classes must be 4, got 3"):
         load_model(target)

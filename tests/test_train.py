@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -404,9 +405,33 @@ def test_train_config_validation():
         TrainConfig(seed=-1)
     with pytest.raises(ValueError, match="mode"):
         TrainConfig(mode="sideways")
-    for bad in ({"lr": math.nan}, {"lr": math.inf}, {"epsilon": math.nan}, {"epsilon": math.inf}):
+    for bad in ({"lr": math.nan}, {"lr": math.inf}, {"epsilon": math.nan}, {"epsilon": math.inf},
+                {"lr": 10**400}, {"epsilon": -(10**400)}):
         with pytest.raises(ValueError, match="optimizer hyperparameters out of range"):
             TrainConfig(**bad)
+
+
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("epochs", 2.0, "an integer"),
+        ("batch_size", 8.5, "an integer"),
+        ("seed", True, "an integer"),
+        ("seed", "1", "an integer"),
+        ("lr", "0.001", "a number"),
+        ("rho", False, "a number"),
+        ("split_ratio", None, "a number"),
+        ("mode", 1, "a string"),
+    ],
+)
+def test_train_config_rejects_a_value_of_another_type(field, value, kind):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be {kind}, got {value!r}")):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_float_fields_take_integers():
+    cfg = TrainConfig(lr=1, rho=0, epsilon=1)
+    assert (cfg.lr, cfg.rho, cfg.epsilon) == (1, 0, 1)
 
 
 def test_end_to_end_synthetic_smoke():
