@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple, fields
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 from .corpus import (
@@ -47,24 +47,20 @@ __all__ = ["build_parser", "main"]
 
 _MODE_FLAGS = {"emoticon": MODE_EMOTICON_TEXT, "text-only": MODE_TEXT_ONLY}
 
-# Every run setting and its default: the TrainConfig fields (split_ratio
-# stays fixed), then the pipeline settings. A --config file may hold any
-# of these keys; a flag of the same name overrides it.
-_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "split_ratio")
-_DEFAULT_SETTINGS = {
-    **{key: getattr(TrainConfig, key) for key in _TRAIN_KEYS},
-    "max_len": 64,
-    "lexicon": None,
-    "precision": ModelConfig.precision,
-}
 
-# The JSON types a config value may take, keyed by the type of its default.
-_CONFIG_TYPES = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-    type(None): ((str, type(None)), "a string or null"),
-}
+@dataclass(frozen=True)
+class RunSettings(TrainConfig):
+    """Every run setting: TrainConfig's fields, then the pipeline's. A --config
+    file may set any of them but split_ratio; a flag of the same name wins."""
+
+    max_len: int = 64
+    lexicon: str | None = None
+    precision: str = ModelConfig.precision
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # max_len and precision must suit the model, whatever its vocabulary.
+        ModelConfig(vocab_size=2, L=self.max_len, precision=self.precision)
 
 
 def _synth_count(value: str) -> int:
@@ -74,16 +70,17 @@ def _synth_count(value: str) -> int:
     return count
 
 
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
+def _add_train_flags(parser: argparse.ArgumentParser, with_mode: bool) -> None:
     parser.add_argument("--data", required=True, help="dataset CSV with a text,label header")
     parser.add_argument("--out", required=True, help="output directory")
-    default_mode = next(flag for flag, mode in _MODE_FLAGS.items() if mode == _DEFAULT_SETTINGS["mode"])
-    parser.add_argument(
-        "--mode",
-        choices=sorted(_MODE_FLAGS),
-        default=None,
-        help=f"emoticon: replace emoji with phrases; text-only: delete them (default: {default_mode})",
-    )
+    if with_mode:
+        default_mode = next(flag for flag, mode in _MODE_FLAGS.items() if mode == RunSettings.mode)
+        parser.add_argument(
+            "--mode",
+            choices=sorted(_MODE_FLAGS),
+            default=None,
+            help=f"emoticon: replace emoji with phrases; text-only: delete them (default: {default_mode})",
+        )
     for key, text in (
         ("batch_size", "minibatch size"),
         ("epochs", "training epochs"),
@@ -91,7 +88,7 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
         ("max_len", "padded sequence length"),
     ):
         parser.add_argument("--" + key.replace("_", "-"), type=int, default=None,
-                            help=f"{text} (default: {_DEFAULT_SETTINGS[key]})")
+                            help=f"{text} (default: {getattr(RunSettings, key)})")
     parser.add_argument("--lexicon", default=None, help="emoticon lexicon file (emoji<TAB>phrase per line)")
     parser.add_argument("--config", default=None, help="JSON settings file; explicit flags win")
 
@@ -105,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model and write reports")
-    _add_train_flags(p_train)
+    _add_train_flags(p_train, with_mode=True)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a saved model on a dataset")
@@ -122,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ablate = sub.add_parser(
         "ablate", help="train emoticon and text-only modes with identical settings"
     )
-    _add_train_flags(p_ablate)
+    _add_train_flags(p_ablate, with_mode=False)
     p_ablate.set_defaults(func=cmd_ablate)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic labeled dataset CSV")
@@ -143,45 +140,34 @@ def _load_config_file(path: str) -> dict:
     data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - set(_DEFAULT_SETTINGS))
+    unknown = sorted(set(data) - {f.name for f in fields(RunSettings) if f.name != "split_ratio"})
     if unknown:
         raise ValueError(f"config file {path} has unknown keys: {', '.join(unknown)}")
-    for key, value in data.items():
-        types, name = _CONFIG_TYPES[type(_DEFAULT_SETTINGS[key])]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(f"config file {path}: {key!r} must be {name}, got {value!r}")
     return data
 
 
-def _resolve_settings(args: argparse.Namespace) -> dict:
-    """Merge defaults, the --config file, and explicit flags (flags win)."""
-    settings = dict(_DEFAULT_SETTINGS)
+def _resolve_settings(args: argparse.Namespace) -> RunSettings:
+    """The defaults, then the --config file, then the explicit flags."""
     config = _load_config_file(args.config) if args.config else {}
-    settings.update(config)
-    for key in _DEFAULT_SETTINGS:
-        flag_value = getattr(args, key, None)
-        if flag_value is None:
+    if isinstance(config.get("mode"), str):
+        config["mode"] = _MODE_FLAGS.get(config["mode"], config["mode"])
+    try:
+        settings = RunSettings(**config)
+    except ValueError as exc:
+        raise ValueError(f"config file {args.config}: {exc}") from None
+    flags = {}
+    for f in fields(RunSettings):
+        if (value := getattr(args, f.name, None)) is None:
             continue
-        if key in config:
-            flag = "--" + key.replace("_", "-")
-            print(f"warning: {flag} overrides {key!r} from the config file", file=sys.stderr)
-        settings[key] = flag_value
-
-    mode = settings["mode"]
-    settings["mode"] = _MODE_FLAGS.get(mode, mode)
-    if settings["mode"] not in (MODE_EMOTICON_TEXT, MODE_TEXT_ONLY):
-        raise ValueError(f"unknown mode {mode!r}")
-    return settings
+        if f.name in config:
+            flag = "--" + f.name.replace("_", "-")
+            print(f"warning: {flag} overrides {f.name!r} from the config file", file=sys.stderr)
+        flags[f.name] = _MODE_FLAGS[value] if f.name == "mode" else value
+    return replace(settings, **flags)
 
 
-def _load_lexicon(settings: dict) -> EmoticonLexicon:
-    if settings["lexicon"]:
-        return EmoticonLexicon.from_file(settings["lexicon"])
-    return EmoticonLexicon.default()
-
-
-def _train_config(settings: dict, mode: str) -> TrainConfig:
-    return TrainConfig(**{key: settings[key] for key in _TRAIN_KEYS} | {"mode": mode})
+def _train_config(settings: RunSettings) -> TrainConfig:
+    return TrainConfig(**{f.name: getattr(settings, f.name) for f in fields(TrainConfig)})
 
 
 def _write_history(history: History, path: Path) -> None:
@@ -207,26 +193,23 @@ def _print_confusion(matrix) -> None:
 
 
 def _run_training(
-    tweets: list[Tweet], settings: dict, mode: str, out_dir: Path
+    tweets: list[Tweet], settings: RunSettings, out_dir: Path
 ) -> tuple[float, History, Vocabulary]:
-    """The full train pipeline for one mode; writes all artifacts to out_dir."""
-    lexicon = _load_lexicon(settings)
-    train_cfg = _train_config(settings, mode)
-    length = settings["max_len"]
+    """The full train pipeline for settings.mode; writes all artifacts to out_dir."""
+    lexicon = EmoticonLexicon.from_file(settings.lexicon) if settings.lexicon else EmoticonLexicon.default()
+    train_cfg = _train_config(settings)
 
     train_tweets, test_tweets = split_dataset(tweets, train_cfg.split_ratio, train_cfg.seed)
     if not train_tweets:
         raise CorpusError(
             f"the train/test split of {len(tweets)} post(s) left the training part empty"
         )
-    train_texts = [preprocess(t.text, lexicon, mode) for t in train_tweets]
+    train_texts = [preprocess(t.text, lexicon, train_cfg.mode) for t in train_tweets]
     vocab = fit_vocabulary(train_texts)
-    train_arrays = encode_texts(train_texts, [t.label for t in train_tweets], vocab, length)
-    test_arrays = encode_dataset(test_tweets, vocab, lexicon, mode, length)
+    model_cfg = ModelConfig(vocab_size=vocab.size, L=settings.max_len, precision=settings.precision)
+    train_arrays = encode_texts(train_texts, [t.label for t in train_tweets], vocab, model_cfg.L)
+    test_arrays = encode_dataset(test_tweets, vocab, lexicon, train_cfg.mode, model_cfg.L)
 
-    model_cfg = ModelConfig(
-        vocab_size=vocab.size, L=length, precision=settings["precision"]
-    )
     model = init_model(model_cfg, train_cfg.seed)
     model, history = train_model(model, train_arrays, test_arrays, train_cfg)
     accuracy, matrix = evaluate(model, test_arrays)
@@ -243,7 +226,7 @@ def _run_training(
 def cmd_train(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
     tweets = load_dataset(args.data)
-    accuracy, _, _ = _run_training(tweets, settings, settings["mode"], Path(args.out))
+    accuracy, _, _ = _run_training(tweets, settings, Path(args.out))
     print(f"final test accuracy: {accuracy:.6f}")
     return 0
 
@@ -283,7 +266,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     rows = []
     for mode in (MODE_EMOTICON_TEXT, MODE_TEXT_ONLY):
         try:
-            _, history, _ = _run_training(tweets, settings, mode, out_dir / mode)
+            _, history, _ = _run_training(tweets, replace(settings, mode=mode), out_dir / mode)
         except TrainingDiverged as exc:
             print(f"warning: {mode} run diverged: {exc}", file=sys.stderr)
             rows.append([mode, "", "", "", "failed"])

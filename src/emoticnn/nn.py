@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import SimpleNamespace
@@ -80,9 +81,9 @@ _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
 def check_field_types(config) -> None:
-    """Check each field against its annotation: int, float (an int also does) or str; no bool."""
+    """Check each field against its annotation: int, float (or int), str or str | None; no bool."""
     kinds = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
-             "str": (str, "a string")}
+             "str": (str, "a string"), "str | None": ((str, type(None)), "a string or null")}
     for f in fields(config):
         value = getattr(config, f.name)
         kind, name = kinds[f.type]
@@ -139,6 +140,8 @@ class ModelConfig:
                 f"sequence length {self.L} is too short for kernel {self.kernel}: "
                 f"the layer stack needs L >= {min_length}"
             )
+        if self.L > sys.maxsize:
+            raise ValueError(f"sequence length {self.L} is too long: the largest index is {sys.maxsize}")
 
     @property
     def dtype(self) -> type:

@@ -70,6 +70,16 @@ def _require_equal(where: str, found, implied) -> None:
         raise PersistError(f"invalid manifest: {where} is {found!r}, the model config implies {implied!r}")
 
 
+def _list_of(where: str, found, item: str, is_item) -> list:
+    """found, if it is a list whose every entry is_item; else ValueError naming the first that is not."""
+    if not isinstance(found, list):
+        raise ValueError(f"{where} must be a list")
+    for index, entry in enumerate(found):
+        if not is_item(entry):
+            raise ValueError(f"{where}[{index}] must be {item}, got {entry!r}")
+    return found
+
+
 def save_model(
     model: Model,
     vocab: Vocabulary,
@@ -122,8 +132,11 @@ def load_model(model_dir) -> tuple[Model, Vocabulary, EmoticonLexicon, TrainConf
     try:
         model_cfg = ModelConfig(**data["model_config"])
         train_cfg = TrainConfig(**data["train_config"])
-        words = [str(word) for word in data["vocabulary"]]
-        lexicon = EmoticonLexicon({str(emoji): str(phrase) for emoji, phrase in data["lexicon"]})
+        words = _list_of("vocabulary", data["vocabulary"], "a string", lambda word: isinstance(word, str))
+        rows = _list_of("lexicon", data["lexicon"], "an [emoji, phrase] pair of strings",
+                        lambda row: isinstance(row, list) and len(row) == 2
+                        and all(isinstance(part, str) for part in row))
+        lexicon = EmoticonLexicon(dict(rows))
         found_weights = data["weights"]
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistError(f"invalid manifest: {exc}") from exc

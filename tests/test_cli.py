@@ -279,7 +279,10 @@ def test_non_finite_config_value_fails_before_writing(synth_csv, tmp_path, capsy
     out = tmp_path / "run"
     rc = cli_main(["train", "--data", str(synth_csv), "--out", str(out), "--config", str(config)])
     assert rc == 1
-    assert "error: optimizer hyperparameters out of range" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: config file {config}: optimizer hyperparameters out of range: "
+        "lr=0.001, rho=0.9, epsilon=inf\n"
+    )
     assert not (out / "model.json").exists()
 
 
@@ -307,15 +310,17 @@ def test_unknown_config_key_fails(synth_csv, tmp_path, capsys):
 @pytest.mark.parametrize(
     ("settings", "message"),
     [
-        ({"epochs": "3"}, "'epochs' must be an integer, got '3'"),
-        ({"epochs": 2.5}, "'epochs' must be an integer, got 2.5"),
-        ({"seed": 1.5}, "'seed' must be an integer, got 1.5"),
-        ({"max_len": "x"}, "'max_len' must be an integer, got 'x'"),
-        ({"lr": "0.1"}, "'lr' must be a number, got '0.1'"),
-        ({"batch_size": None}, "'batch_size' must be an integer, got None"),
-        ({"lexicon": True}, "'lexicon' must be a string or null, got True"),
-        ({"lexicon": 0}, "'lexicon' must be a string or null, got 0"),
+        ({"epochs": "3"}, "epochs must be an integer, got '3'"),
+        ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"max_len": "x"}, "max_len must be an integer, got 'x'"),
+        ({"lr": "0.1"}, "lr must be a number, got '0.1'"),
+        ({"batch_size": None}, "batch_size must be an integer, got None"),
+        ({"lexicon": True}, "lexicon must be a string or null, got True"),
+        ({"lexicon": 0}, "lexicon must be a string or null, got 0"),
     ],
+    # The ids quote the key, as the messages did before they named the file.
+    ids=lambda value: None if isinstance(value, dict) else "'{}' {}".format(*value.split(" ", 1)),
 )
 def test_config_value_of_wrong_type_fails(synth_csv, tmp_path, capsys, settings, message):
     config = tmp_path / "settings.json"
@@ -323,8 +328,69 @@ def test_config_value_of_wrong_type_fails(synth_csv, tmp_path, capsys, settings,
     out = tmp_path / "run"
     rc = cli_main(["train", "--data", str(synth_csv), "--out", str(out), "--config", str(config)])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert capsys.readouterr().err == f"error: config file {config}: {message}\n"
+    assert not out.exists()
+
+
+def test_config_range_error_names_the_file(synth_csv, tmp_path, capsys):
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps({"batch_size": 0}))
+    out = tmp_path / "run"
+    rc = cli_main(["train", "--data", str(synth_csv), "--out", str(out), "--config", str(config)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: config file {config}: batch_size must be at least 1, got 0\n"
+    )
+    assert not out.exists()
+
+
+def test_out_of_range_config_value_fails_even_when_a_flag_overrides_it(synth_csv, tmp_path, capsys):
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps({"epochs": 0, "max_len": 14}))
+    out = tmp_path / "run"
+    argv = ["train", "--data", str(synth_csv), "--out", str(out), "--config", str(config),
+            "--epochs", "3"]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: config file {config}: epochs must be at least 1, got 0\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (["--epochs", "0"], "epochs must be at least 1, got 0"),
+        (["--max-len", "8"], "sequence length 8 is too short for kernel 3: "
+                             "the layer stack needs L >= 10"),
+    ],
+)
+def test_settings_error_is_reported_before_the_dataset_is_read(tmp_path, capsys, flags, message):
+    argv = ["train", "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "run"), *flags]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_max_len_too_large_for_an_index_fails_cleanly(synth_csv, tmp_path, capsys, where):
+    # A value that still fits an index is not tried: pad would allocate it.
+    out = tmp_path / "run"
+    argv = ["train", "--data", str(synth_csv), "--out", str(out), "--epochs", "1"]
+    if where == "flag":
+        length = 10**20
+        argv += ["--max-len", str(length)]
+    else:
+        length = 10**400 - 1
+        config = tmp_path / "settings.json"
+        config.write_text(f'{{"max_len": {length}}}')
+        argv += ["--config", str(config)]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+    assert captured.err.startswith("error: ")
+    assert f"sequence length {length} is too long" in captured.err
     assert not out.exists()
 
 
@@ -354,6 +420,27 @@ def test_config_json_syntax_error_names_its_file(synth_csv, tmp_path, capsys):
 
 
 # --------------------------------------------------------------- eval
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_manifest_word_or_lexicon_row_that_is_not_a_string_fails(trained_run, tmp_path, capsys, command):
+    broken = tmp_path / "broken"
+    shutil.copytree(trained_run, broken)
+    manifest = broken / "model.json"
+    data = json.loads(manifest.read_text(encoding="utf-8"))
+    data["lexicon"].append("ab")
+    data["vocabulary"][0] = None
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    if command == "eval":
+        argv = ["eval", "--model", str(broken), "--data", str(trained_run / "test.csv"),
+                "--out", str(tmp_path / "out")]
+    else:
+        argv = ["predict", "--model", str(broken), "--text", "a banana day 😊"]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid manifest: vocabulary[0] must be a string, got None\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_reproduces_training_accuracy(trained_run, tmp_path, capsys):
@@ -522,6 +609,46 @@ def ablation_run(tmp_path_factory):
     )
     assert rc == 0
     return out
+
+
+def test_ablate_has_no_mode_flag(synth_csv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["ablate", "--data", str(synth_csv), "--out", str(tmp_path / "out"),
+                  "--mode", "text-only"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --mode text-only" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+TRAIN_HELP = """\
+usage: emoticnn train [-h] --data DATA --out OUT [--mode {emoticon,text-only}]
+                      [--batch-size BATCH_SIZE] [--epochs EPOCHS]
+                      [--seed SEED] [--max-len MAX_LEN] [--lexicon LEXICON]
+                      [--config CONFIG]
+
+options:
+  -h, --help            show this help message and exit
+  --data DATA           dataset CSV with a text,label header
+  --out OUT             output directory
+  --mode {emoticon,text-only}
+                        emoticon: replace emoji with phrases; text-only:
+                        delete them (default: emoticon)
+  --batch-size BATCH_SIZE
+                        minibatch size (default: 32)
+  --epochs EPOCHS       training epochs (default: 200)
+  --seed SEED           seed for split/init/shuffling (default: 0)
+  --max-len MAX_LEN     padded sequence length (default: 64)
+  --lexicon LEXICON     emoticon lexicon file (emoji<TAB>phrase per line)
+  --config CONFIG       JSON settings file; explicit flags win
+"""
+
+
+def test_train_help_lists_every_flag_with_its_default(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["train", "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == TRAIN_HELP
 
 
 def test_ablate_writes_summary_and_histories(ablation_run):

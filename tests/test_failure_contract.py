@@ -7,8 +7,7 @@ exception escaping cli.main is the traceback a user would see.
 
 Training runs are kept small and bounded: the epochs, the padded
 length and the batch size are always set by flag. A mutated config file
-still has all its values type-checked, but can change only the other
-settings.
+still has all its values checked, but can change only the other settings.
 """
 
 from __future__ import annotations

@@ -353,3 +353,32 @@ def test_model_config_with_other_than_four_classes_rejected(tmp_path):
     edit_manifest(target, lambda d: d["model_config"].update(classes=3))
     with pytest.raises(PersistError, match="invalid manifest: classes must be 4, got 3"):
         load_model(target)
+
+
+def set_vocabulary_word(value):
+    return lambda d: d["vocabulary"].__setitem__(0, value)
+
+
+def set_lexicon_row(value):
+    return lambda d: d["lexicon"].__setitem__(1, value)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (set_vocabulary_word(None), "vocabulary[0] must be a string, got None"),
+        (set_vocabulary_word(7), "vocabulary[0] must be a string, got 7"),
+        (set_lexicon_row("ab"), "lexicon[1] must be an [emoji, phrase] pair of strings, got 'ab'"),
+        (set_lexicon_row(["a", "b", "c"]),
+         "lexicon[1] must be an [emoji, phrase] pair of strings, got ['a', 'b', 'c']"),
+        (set_lexicon_row(["a", 1]), "lexicon[1] must be an [emoji, phrase] pair of strings, got ['a', 1]"),
+        (lambda d: d.update(vocabulary="word0"), "vocabulary must be a list"),
+    ],
+    ids=["null word", "numeric word", "one-string row", "three-item row", "numeric phrase",
+         "string vocabulary"],
+)
+def test_vocabulary_and_lexicon_entries_must_be_strings(tmp_path, mutate, message):
+    target, *_ = saved_dir(tmp_path)
+    edit_manifest(target, mutate)
+    with pytest.raises(PersistError, match=re.escape(f"invalid manifest: {message}")):
+        load_model(target)
