@@ -28,7 +28,7 @@ from .corpus import (
     save_dataset,
     write_csv,
 )
-from .encode import Vocabulary, encode, fit_vocabulary, pad
+from .encode import encode, fit_vocabulary, pad
 from .nn import ModelConfig, init_model
 from .persist import PersistError, load_model, save_model
 from .train import (
@@ -192,9 +192,7 @@ def _print_confusion(matrix) -> None:
         print(CATEGORY_NAMES[code].rjust(width) + "".join(str(int(n)).rjust(width) for n in row))
 
 
-def _run_training(
-    tweets: list[Tweet], settings: RunSettings, out_dir: Path
-) -> tuple[float, History, Vocabulary]:
+def _run_training(tweets: list[Tweet], settings: RunSettings, out_dir: Path) -> tuple[float, History]:
     """The full train pipeline for settings.mode; writes all artifacts to out_dir."""
     lexicon = EmoticonLexicon.from_file(settings.lexicon) if settings.lexicon else EmoticonLexicon.default()
     train_cfg = _train_config(settings)
@@ -220,13 +218,13 @@ def _run_training(
     _write_confusion(matrix, out_dir / "confusion.csv")
     save_dataset(train_tweets, out_dir / "train.csv")
     save_dataset(test_tweets, out_dir / "test.csv")
-    return accuracy, history, vocab
+    return accuracy, history
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
     tweets = load_dataset(args.data)
-    accuracy, _, _ = _run_training(tweets, settings, Path(args.out))
+    accuracy, _ = _run_training(tweets, settings, Path(args.out))
     print(f"final test accuracy: {accuracy:.6f}")
     return 0
 
@@ -266,7 +264,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     rows = []
     for mode in (MODE_EMOTICON_TEXT, MODE_TEXT_ONLY):
         try:
-            _, history, _ = _run_training(tweets, replace(settings, mode=mode), out_dir / mode)
+            _, history = _run_training(tweets, replace(settings, mode=mode), out_dir / mode)
         except TrainingDiverged as exc:
             print(f"warning: {mode} run diverged: {exc}", file=sys.stderr)
             rows.append([mode, "", "", "", "failed"])

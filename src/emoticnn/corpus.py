@@ -25,6 +25,7 @@ import csv
 import io
 import json
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,49 +115,40 @@ def read_json(path):
                           f"not valid JSON ({exc.msg})") from None
 
 
-def _normalize_phrase(phrase: str) -> str:
-    return _WS_RE.sub(" ", phrase).strip().lower()
-
-
-class EmoticonLexicon:
-    """Ordered map from emoji grapheme clusters to lowercase word phrases.
+class EmoticonLexicon(Mapping):
+    """Read-only ordered map from emoji grapheme clusters to lowercase word phrases.
 
     Keys may span several grapheme clusters; scanning uses longest match
-    first so a longer key always beats any of its prefixes.
+    first so a longer key always beats any of its prefixes. The phrases and
+    the scanner compiled from their keys are set once, in __init__.
     """
 
     def __init__(self, entries: dict[str, str]):
-        self.entries: dict[str, str] = {
-            emoji: _normalize_phrase(phrase) for emoji, phrase in entries.items()
+        self._entries = {
+            emoji: _WS_RE.sub(" ", phrase).strip().lower() for emoji, phrase in entries.items()
         }
         self._max_key_clusters = max(
-            (len(_GRAPHEME_RE.findall(emoji)) for emoji in self.entries), default=0
+            (len(_GRAPHEME_RE.findall(emoji)) for emoji in self._entries), default=0
         )
         # The scan takes a run of basic characters whole. Characters that
         # begin a key are left out of runs, so each place a key can start
         # is the start of a token.
-        run_chars = _BASIC_CHARS.difference(emoji[:1] for emoji in self.entries)
+        run_chars = _BASIC_CHARS.difference(emoji[:1] for emoji in self._entries)
         runs = "".join(map(regex.escape, sorted(run_chars)))
         self._tokens = regex.compile(rf"([{runs}]+){_UNEXTENDED}|\X" if runs else r"\X")
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, emoji: str) -> bool:
-        return emoji in self.entries
-
     def __getitem__(self, emoji: str) -> str:
-        return self.entries[emoji]
+        return self._entries[emoji]
 
-    def items(self):
-        return self.entries.items()
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
     @classmethod
     def default(cls) -> "EmoticonLexicon":
-        table: dict[str, str] = {}
-        for emoji, phrase in _DEFAULT_LEXICON_ROWS:
-            table[emoji] = phrase
-        return cls(table)
+        return cls(dict(_DEFAULT_LEXICON_ROWS))
 
     @classmethod
     def from_file(cls, path) -> "EmoticonLexicon":
@@ -167,7 +159,7 @@ class EmoticonLexicon:
         table: dict[str, str] = {}
         lines = io.StringIO(read_utf8(path), newline=None)
         for lineno, line in enumerate(lines, start=1):
-            line = line.rstrip("\n").rstrip("\r")
+            line = line.rstrip("\n")
             if not line.strip():
                 continue
             if "\t" not in line:
@@ -180,9 +172,6 @@ class EmoticonLexicon:
                 raise CorpusError(f"lexicon line {lineno}: empty field")
             table[emoji] = phrase
         return cls(table)
-
-    def to_rows(self) -> list[list[str]]:
-        return [[emoji, phrase] for emoji, phrase in self.entries.items()]
 
 
 def clean(raw: str) -> str:
@@ -201,7 +190,7 @@ def clean(raw: str) -> str:
 
 
 def _scan(text: str, lexicon: EmoticonLexicon, replace: bool) -> str:
-    phrases = lexicon.entries
+    phrases = lexicon._entries
     max_len = lexicon._max_key_clusters
     token_at = lexicon._tokens.match
     parts: list[str] = []

@@ -42,7 +42,6 @@ __all__ = [
     "maxpool1d",
     "maxpool1d_backward",
     "model_backward",
-    "relu",
     "rmsprop_step",
     "softmax",
 ]
@@ -235,11 +234,6 @@ def conv1d_backward(
     return dx, dkernel, dbias
 
 
-def relu(x) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(np.asarray(x), 0)
-
-
 def maxpool1d(x) -> tuple[np.ndarray, np.ndarray]:
     """Max pooling with window 2 and stride 2 over the time axis.
 
@@ -349,7 +343,7 @@ class Model:
 
     config: ModelConfig
     params: dict[str, np.ndarray]
-    _version: int = 0
+    _version: int = field(default=0, init=False, repr=False)
 
     def forward(self, ids) -> tuple[np.ndarray, ForwardCache]:
         """Run the layer stack on a batch of padded id sequences.
@@ -558,7 +552,7 @@ class RmsPropState:
     rho: float = 0.9
     epsilon: float = 1e-7
     accumulators: dict[str, np.ndarray] = field(default_factory=dict)
-    scratch: dict[np.dtype, np.ndarray] = field(default_factory=dict)
+    scratch: dict[np.dtype, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
 
 def rmsprop_step(model: Model, grads: dict[str, np.ndarray], state: RmsPropState) -> None:

@@ -103,7 +103,7 @@ def save_model(
         "model_config": asdict(model.config),
         "train_config": asdict(train_cfg),
         "vocabulary": vocab.words(),
-        "lexicon": lexicon.to_rows(),
+        "lexicon": [list(row) for row in lexicon.items()],
         "weights": _weights_table(model.config),
     }
     manifest_text = json.dumps(manifest, ensure_ascii=False, indent=2) + "\n"

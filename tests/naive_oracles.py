@@ -114,13 +114,13 @@ def gemm_model_forward(model, ids):
             outputs.update(distinct=distinct, rows=weights[0][distinct],
                            inverse=inverse.reshape(ids.shape))
         elif layer.kind == "conv_relu":
-            x = nn.relu(nn.conv1d_forward(x, *weights))
+            x = np.maximum(nn.conv1d_forward(x, *weights), 0)
         elif layer.kind == "pool":
             x, winners[layer.name] = nn.maxpool1d(x)
         elif layer.kind == "flatten":
             x = x.reshape(x.shape[0], -1)
         elif layer.kind == "dense_relu":
-            x = nn.relu(nn.dense_forward(x, *weights))
+            x = np.maximum(nn.dense_forward(x, *weights), 0)
         else:
             x = nn.softmax(nn.dense_forward(x, *weights))
         assert x.shape[1:] == shape, (layer.name, x.shape)
@@ -226,8 +226,8 @@ def naive_fit_vocabulary(texts) -> dict[str, int]:
 def cluster_walk_scan(text: str, entries: dict[str, str], replace: bool) -> str:
     """Emoticon replacement (or deletion) by a walk over every grapheme cluster.
 
-    entries maps each key to its already normalised phrase, as
-    EmoticonLexicon.entries does. At each cluster the longest key, counted
+    entries maps each key to its already normalised phrase, as an
+    EmoticonLexicon does. At each cluster the longest key, counted
     in clusters, wins; a cluster no key covers survives only if it is one
     of the characters cleaning keeps.
     """

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+from collections.abc import Mapping, MutableMapping
 
 import pytest
 from hypothesis import example, given, settings
@@ -102,12 +103,26 @@ def test_phrases_are_lowercased():
         assert phrase == phrase.lower()
 
 
-def test_lexicon_from_file_and_to_rows(tmp_path):
+def test_lexicon_from_file_keeps_row_order(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text(f"{SMILING}\tHappy Face\n\n{HEART_EYES}\tIn Love\n", encoding="utf-8")
     lexicon = EmoticonLexicon.from_file(path)
     assert lexicon[SMILING] == "happy face"
-    assert lexicon.to_rows() == [[SMILING, "happy face"], [HEART_EYES, "in love"]]
+    assert list(lexicon.items()) == [(SMILING, "happy face"), (HEART_EYES, "in love")]
+
+
+def test_lexicon_is_a_read_only_mapping(tmp_path):
+    """Its phrases and the scanner compiled from their keys have one owner,
+    so no caller can add a key that the scan then never replaces."""
+    path = tmp_path / "lex.tsv"
+    path.write_text(f"{SMILING}\tSmile\n", encoding="utf-8")
+    for lexicon in (EmoticonLexicon.default(), EmoticonLexicon.from_file(path)):
+        assert isinstance(lexicon, Mapping)
+        assert not isinstance(lexicon, MutableMapping)
+        assert [name for name in vars(lexicon) if not name.startswith("_")] == []
+        with pytest.raises(TypeError):
+            lexicon["xd"] = "laughing"
+    assert EmoticonLexicon.from_file(path) == EmoticonLexicon({SMILING: "smile"})
 
 
 def test_lexicon_from_file_last_entry_wins(tmp_path):
@@ -126,7 +141,7 @@ def test_lexicon_from_file_rejects_missing_tab(tmp_path):
 def test_lexicon_from_file_accepts_any_line_ending(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_bytes(f"{SMILING}\tHappy\r\n{HEART_EYES}\tIn Love\r".encode())
-    assert EmoticonLexicon.from_file(path).to_rows() == [[SMILING, "happy"], [HEART_EYES, "in love"]]
+    assert list(EmoticonLexicon.from_file(path).items()) == [(SMILING, "happy"), (HEART_EYES, "in love")]
 
 
 def test_lexicon_from_file_names_line_that_is_not_utf8(tmp_path):
@@ -222,10 +237,10 @@ _LEXICONS = st.one_of(
 def test_replace_and_strip_match_the_cluster_walk(text, lexicon):
     for candidate in (text, clean(text)):
         assert replace_emoticons(candidate, lexicon) == cluster_walk_scan(
-            candidate, lexicon.entries, replace=True
+            candidate, dict(lexicon), replace=True
         )
         assert strip_emoticons(candidate, lexicon) == cluster_walk_scan(
-            candidate, lexicon.entries, replace=False
+            candidate, dict(lexicon), replace=False
         )
 
 
@@ -237,10 +252,10 @@ def test_preprocess_output_unchanged_by_split_whitespace(text):
     lexicon = EmoticonLexicon.default()
     before = regex_whitespace_clean(text)
     assert preprocess(text, lexicon, MODE_EMOTICON_TEXT) == cluster_walk_scan(
-        before, lexicon.entries, replace=True
+        before, dict(lexicon), replace=True
     )
     assert preprocess(text, lexicon, MODE_TEXT_ONLY) == cluster_walk_scan(
-        before, lexicon.entries, replace=False
+        before, dict(lexicon), replace=False
     )
 
 

@@ -45,7 +45,6 @@ from emoticnn.nn import (
     maxpool1d,
     maxpool1d_backward,
     model_backward,
-    relu,
     rmsprop_step,
     softmax,
 )
@@ -260,25 +259,6 @@ def test_conv1d_backward_matches_finite_differences():
             minus = objective()
             flat[i] = orig
             assert abs((plus - minus) / (2 * step) - grad.reshape(-1)[i]) < 1e-6
-
-
-# -------------------------------------------------------------- relu
-
-
-def test_relu_definition():
-    assert np.array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-
-
-def test_relu_identity_on_positive():
-    x = np.array([0.5, 1.0, 3.0])
-    assert np.array_equal(relu(x), x)
-
-
-@settings(max_examples=100)
-@given(st.lists(st.floats(-100, 100), min_size=1, max_size=20))
-def test_relu_is_idempotent(values):
-    x = np.array(values)
-    assert np.array_equal(relu(relu(x)), relu(x))
 
 
 # ----------------------------------------------------------- pooling

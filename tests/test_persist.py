@@ -98,7 +98,7 @@ def test_manifest_structure(tmp_path):
     assert data["model_config"]["vocab_size"] == vocab.size
     assert data["model_config"]["L"] == 10
     assert data["vocabulary"] == WORDS  # index order, reserved slots implicit
-    assert data["lexicon"] == lexicon.to_rows()
+    assert data["lexicon"] == [list(row) for row in lexicon.items()]
     weights = data["weights"]
     assert weights["file"] == WEIGHTS_NAME
     assert [entry["name"] for entry in weights["layout"]] == list(PARAM_NAMES)
