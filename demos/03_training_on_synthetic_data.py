@@ -84,6 +84,7 @@ print(matrix.counts)
 
 for text in ("thinking about the weekend 😍", "the bus is late again 😡"):
     ids = pad(encode(preprocess(text, lexicon, mode), vocab), length)
-    probs = model.forward(np.array([ids]))[0][0]
+    # Inference keeps no cache: model.forward(..., cache=False) returns (probs, None).
+    probs = model.forward(np.array([ids]), cache=False)[0][0]
     predicted = CATEGORY_NAMES[int(probs.argmax()) + 1]
     print(f"   {text!r} -> {predicted} ({probs.max():.3f})")

@@ -246,7 +246,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model, vocab, lexicon, train_cfg = load_model(args.model)
     processed = preprocess(args.text, lexicon, train_cfg.mode)
     ids = pad(encode(processed, vocab), model.config.L)
-    probs = model.forward(ids)[0][0]
+    probs = model.forward(ids, cache=False)[0][0]
     predicted = int(probs.argmax()) + 1
     print(f"prediction: {CATEGORY_NAMES[predicted]}")
     for code in CATEGORY_CODES:

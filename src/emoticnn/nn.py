@@ -234,7 +234,7 @@ def conv1d_backward(
     return dx, dkernel, dbias
 
 
-def maxpool1d(x) -> tuple[np.ndarray, np.ndarray]:
+def maxpool1d(x, winners: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Max pooling with window 2 and stride 2 over the time axis.
 
     A trailing odd timestep is dropped. Returns the pooled tensor of
@@ -242,6 +242,11 @@ def maxpool1d(x) -> tuple[np.ndarray, np.ndarray]:
     element, which the backward pass uses to route gradients. The winner
     is chosen as numpy's argmax would: ties go to the earlier position
     and the first NaN wins, so a NaN always propagates.
+
+    With winners=False it returns np.maximum of the two slots and None.
+    That is the winner rule's value, bit for bit, only on relu output:
+    where a pair is +0.0 then -0.0, np.maximum may return -0.0, and a
+    relu output holds no -0.0.
     """
     x = np.asarray(x)
     steps = x.shape[-2]
@@ -250,11 +255,12 @@ def maxpool1d(x) -> tuple[np.ndarray, np.ndarray]:
     t_out = steps // 2
     first = x[..., 0 : 2 * t_out : 2, :]
     second = x[..., 1 : 2 * t_out : 2, :]
+    if not winners:
+        return np.maximum(first, second), None
     # The later slot wins if it is larger, or if it alone is NaN.
     later = ~(first >= second) & (first == first)
     pooled = np.where(later, second, first)
-    winners = later + 2 * np.arange(t_out).reshape(-1, 1)
-    return pooled, winners
+    return pooled, later + 2 * np.arange(t_out).reshape(-1, 1)
 
 
 def maxpool1d_backward(
@@ -329,7 +335,8 @@ class ForwardCache(SimpleNamespace):
     For the embedding it holds the batch's distinct ids, their rows and
     each position's index into them; cache.embedded is placed as
     rows[inverse] only when first read. model_backward never reads it: it
-    works on the distinct rows.
+    works on the distinct rows. Model.forward(ids, cache=False) builds
+    none of this.
     """
 
     @cached_property
@@ -345,12 +352,17 @@ class Model:
     params: dict[str, np.ndarray]
     _version: int = field(default=0, init=False, repr=False)
 
-    def forward(self, ids) -> tuple[np.ndarray, ForwardCache]:
+    def forward(self, ids, cache: bool = True) -> tuple[np.ndarray, ForwardCache | None]:
         """Run the layer stack on a batch of padded id sequences.
 
         ids has shape (batch, L); a single (L,) sequence is promoted to a
         batch of one. Returns softmax probabilities of shape (batch,
         classes) and the cache consumed by model_backward.
+
+        With cache=False (inference) the walk keeps no layer outputs, each
+        pool records no winners, and the second value is None. The
+        probabilities are the same bits either way: a pool's input is a
+        relu output, so maxpool1d's winners=False mode is exact on it.
 
         conv1 projects each distinct id's embedding row once instead of
         every position's, to the same bits as the per-position convolution
@@ -374,15 +386,17 @@ class Model:
                 rows = embedding_forward(distinct, *weights)
                 lookup = np.empty(len(weights[0]), dtype=np.intp)
                 lookup[distinct] = np.arange(distinct.size)
-                outputs.update(distinct=distinct, rows=rows, inverse=lookup[ids])
+                inverse = lookup[ids]
+                if cache:
+                    outputs.update(distinct=distinct, rows=rows, inverse=inverse)
                 continue
             elif layer.kind == "conv_relu":
                 if x is ids:
-                    x = _conv1d_of_rows(outputs["rows"], outputs["inverse"], *weights)
+                    x = _conv1d_of_rows(rows, inverse, *weights)
                 else:
                     x = conv1d_forward(x, *weights)
             elif layer.kind == "pool":
-                x, winners[layer.name] = maxpool1d(x)
+                x, winners[layer.name] = maxpool1d(x, winners=cache)
             elif layer.kind == "flatten":
                 x = x.reshape(x.shape[0], -1)
             elif layer.kind == "dense_relu":
@@ -391,9 +405,13 @@ class Model:
                 x = softmax(dense_forward(x, *weights))
             if layer.kind.endswith("_relu"):
                 # relu in place, so a pre-activation never lives beside its output.
+                # It also turns -0.0 into +0.0, which the pools' winners=False mode needs.
                 np.maximum(x, 0, out=x)
             assert x.shape[1:] == shape, (layer.name, x.shape)
-            outputs[layer.name] = x
+            if cache:
+                outputs[layer.name] = x
+        if not cache:
+            return x, None
         return x, ForwardCache(
             model=self, version=self._version, ids=ids, winners=winners, **outputs
         )
@@ -611,7 +629,7 @@ def gradient_check(model: Model, ids, labels) -> dict[str, float]:
     analytic = model_backward(cache, labels)
 
     def loss() -> float:
-        probs, _ = model.forward(ids)
+        probs, _ = model.forward(ids, cache=False)
         return float(np.mean(cross_entropy(probs, labels)))
 
     errors: dict[str, float] = {}

@@ -167,7 +167,7 @@ def predict_codes(model: Model, ids: np.ndarray) -> np.ndarray:
     preds = np.empty(ids.shape[0], dtype=np.int64)
     for start in range(0, ids.shape[0], _EVAL_BATCH):
         chunk = ids[start : start + _EVAL_BATCH]
-        probs, _ = model.forward(chunk)
+        probs, _ = model.forward(chunk, cache=False)
         preds[start : start + chunk.shape[0]] = probs.argmax(axis=-1) + 1
     return preds
 

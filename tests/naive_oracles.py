@@ -92,13 +92,14 @@ def einsum_conv1d_backward(x, kernel, dout):
     return dx, dkernel, dbias
 
 
-def gemm_model_forward(model, ids):
+def gemm_model_forward(model, ids, cache=True):
     """Model.forward as it was before conv1 projected distinct rows: embed
     every position, then one GEMM per conv1 tap over the whole batch.
 
     The cache also records the distinct ids, their rows and each
     position's index into them, found here by np.unique, so that
-    model_backward can run on it as on Model.forward's cache."""
+    model_backward can run on it as on Model.forward's cache. With
+    cache=False it still pools by the winner rule, and returns None."""
     cfg = model.config
     ids = np.asarray(ids)
     if ids.ndim == 1:
@@ -125,6 +126,8 @@ def gemm_model_forward(model, ids):
             x = nn.softmax(nn.dense_forward(x, *weights))
         assert x.shape[1:] == shape, (layer.name, x.shape)
         outputs[layer.name] = x
+    if not cache:
+        return x, None
     return x, nn.ForwardCache(
         model=model, version=model._version, ids=ids, winners=winners, **outputs
     )

@@ -869,6 +869,71 @@ def test_forward_peak_memory_is_no_higher_than_the_oracles():
     assert fold <= oracle, (fold, oracle)
 
 
+def test_forward_without_cache_peaks_below_the_forward_with_it():
+    """B=256, L=64: inference keeps no layer outputs and no pool winners,
+    so it holds less at once than the forward that feeds a backward pass."""
+    model = init_model(ModelConfig(vocab_size=107, L=64), 0)
+    ids = np.random.default_rng(0).integers(0, 107, size=(256, 64))
+    inference = _traced_peak(lambda model, ids: model.forward(ids, cache=False), model, ids)
+    training = _traced_peak(Model.forward, model, ids)
+    assert inference < training, (inference, training)
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+@pytest.mark.parametrize("length", [10, 18, 64], ids=["min_L", "L18", "L64"])
+@settings(max_examples=6, deadline=None)
+@given(
+    batch=st.sampled_from([1, 3, 257]),
+    vocab=st.sampled_from([2, 9, 300]),
+    pattern=st.sampled_from(["random", "padding rows", "one id"]),
+    seed=st.integers(0, 2**16),
+)
+@example(batch=257, vocab=300, pattern="random", seed=0)
+@example(batch=1, vocab=9, pattern="one id", seed=1)
+def test_forward_without_cache_is_the_forward_bit_for_bit(
+    precision, length, batch, vocab, pattern, seed
+):
+    """cache=False pools with np.maximum and keeps nothing, to the same bits."""
+    model = init_model(ModelConfig(vocab_size=vocab, L=length, precision=precision), seed)
+    ids = _fold_case_ids(np.random.default_rng(seed), batch, length, vocab, pattern)
+    probs, cache = model.forward(ids, cache=False)
+    assert cache is None
+    assert_same_floats(probs, model.forward(ids)[0])
+
+
+def test_forward_without_cache_propagates_a_nan_row_as_the_forward_does():
+    model = init_model(ModelConfig(vocab_size=12, L=18), 0)
+    model.params["embedding"][5] = np.nan
+    ids = np.random.default_rng(0).integers(0, 12, size=(8, 18))
+    ids[::2] = np.where(ids[::2] == 5, 6, ids[::2])
+    ids[1::2, 4] = 5
+    with np.errstate(invalid="ignore"):
+        inference, _ = model.forward(ids, cache=False)
+        training, _ = model.forward(ids)
+    assert_same_floats(inference, training)
+    assert np.isnan(inference).any(axis=1).tolist() == [False, True] * 4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size", [1, 7, 64, 1000])
+def test_relu_in_place_leaves_no_negative_zero(dtype, size):
+    """The pools' winners=False mode is exact only on input without -0.0;
+    numpy's scalar loop (short arrays) and its SIMD loop must both clear it."""
+    x = np.random.default_rng(size).normal(size=size).astype(dtype)
+    x[::2] = -0.0
+    np.maximum(x, 0, out=x)
+    assert not np.signbit(x).any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_inputs)
+def test_maxpool1d_without_winners_is_the_winner_rule_on_relu_output(x):
+    relu = np.maximum(x, 0)
+    pooled, winners = maxpool1d(relu, winners=False)
+    assert winners is None
+    assert_same_floats(pooled, maxpool1d(relu)[0])
+
+
 def test_forward_caches_the_distinct_rows_of_every_batch():
     """Every batch, a single post included, caches its distinct ids and
     their rows, and places cache.embedded from them only when it is read."""

@@ -41,6 +41,19 @@ BATCHES = {
 }
 
 
+FORWARD_SPANS = [
+    "nn.forward",
+    "nn.embedding.fwd",
+    "nn.conv1.fwd",
+    "nn.pool1.fwd",
+    "nn.conv2.fwd",
+    "nn.pool2.fwd",
+    "nn.dense1.fwd",
+    "nn.dense2.fwd",
+    "nn.softmax",
+]
+
+
 def test_tracer_sees_every_layer_call_in_order():
     """The tracer tells conv1 from conv2 (and pool1 from pool2, dense1 from
     dense2) only by call order, so each layer step must call the nn layer
@@ -67,15 +80,7 @@ def test_tracer_sees_every_layer_call_in_order():
             "nn.conv1.bwd",
         ]
         assert [span[1] for span in tracer.spans if span[1].startswith("nn.")] == [
-            "nn.forward",
-            "nn.embedding.fwd",
-            "nn.conv1.fwd",
-            "nn.pool1.fwd",
-            "nn.conv2.fwd",
-            "nn.pool2.fwd",
-            "nn.dense1.fwd",
-            "nn.dense2.fwd",
-            "nn.softmax",
+            *FORWARD_SPANS,
             "nn.backward",
             "nn.dense2.bwd",
             "nn.dense1.bwd",
@@ -84,6 +89,43 @@ def test_tracer_sees_every_layer_call_in_order():
             "nn.pool1.bwd",
             "nn.conv1.bwd",
         ]
+
+
+def test_tracer_sees_every_layer_call_of_the_forward_without_cache():
+    """Inference runs the same walk: the forward half of the span list,
+    in the same order."""
+    model = nn.init_model(nn.ModelConfig(vocab_size=12, L=10), seed=0)
+    for name, ids in BATCHES.items():
+        tracer = SPANS.Tracer()
+        tracer.install()
+        try:
+            _, cache = model.forward(ids, cache=False)
+        finally:
+            tracer.uninstall()
+
+        assert cache is None, name
+        assert [span[1] for span in tracer.spans] == FORWARD_SPANS, name
+
+
+def test_every_eval_chunk_gets_its_own_layer_spans():
+    """The tracer names conv1/conv2 and pool1/pool2 by call order under each
+    nn.forward span, so every chunk of predict_codes must enter through
+    Model.forward and pool through nn.maxpool1d."""
+    model = nn.init_model(nn.ModelConfig(vocab_size=12, L=10), seed=0)
+    ids = np.random.default_rng(0).integers(0, 12, size=(2 * train._EVAL_BATCH + 1, 10))
+    tracer = SPANS.Tracer()
+    tracer.install()
+    try:
+        train.predict_codes(model, ids)
+    finally:
+        tracer.uninstall()
+
+    forwards = [i for i, span in enumerate(tracer.spans) if span[1] == "nn.forward"]
+    assert len(forwards) == 3
+    layers = ["nn.conv1.fwd", "nn.pool1.fwd", "nn.conv2.fwd", "nn.pool2.fwd"]
+    for forward in forwards:
+        children = [name for parent, name, *_ in tracer.spans if parent == forward]
+        assert [name for name in children if name in layers] == layers
 
 
 @pytest.mark.parametrize("ids", BATCHES.values(), ids=BATCHES.keys())
