@@ -30,7 +30,7 @@ from .corpus import (
 )
 from .encode import encode, fit_vocabulary, pad
 from .nn import ModelConfig, init_model
-from .persist import PersistError, load_model, save_model
+from .persist import load_model, save_model
 from .train import (
     EpochRecord,
     History,
@@ -177,8 +177,8 @@ def _write_history(history: History, path: Path) -> None:
 def _write_confusion(matrix, path: Path) -> None:
     names = [CATEGORY_NAMES[code] for code in CATEGORY_CODES]
     rows = (
-        [name, *(int(n) for n in row), int(row.sum())]
-        for name, row in zip(names, matrix.counts)
+        [name, *(int(n) for n in row), total]
+        for name, row, total in zip(names, matrix.counts, matrix.row_totals())
     )
     write_csv(path, ["actual", *names, "total"], rows)
 
@@ -246,7 +246,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model, vocab, lexicon, train_cfg = load_model(args.model)
     processed = preprocess(args.text, lexicon, train_cfg.mode)
     ids = pad(encode(processed, vocab), model.config.L)
-    probs = model.forward(ids, cache=False)[0][0]
+    probs = model.forward(ids)[0][0]
     predicted = int(probs.argmax()) + 1
     print(f"prediction: {CATEGORY_NAMES[predicted]}")
     for code in CATEGORY_CODES:
@@ -296,8 +296,9 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return 1
-    except (CorpusError, PersistError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # CorpusError and PersistError are ValueErrors; a MemoryError may carry no message.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

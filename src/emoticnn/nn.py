@@ -30,6 +30,7 @@ __all__ = [
     "Layer",
     "Model",
     "ModelConfig",
+    "NonFiniteGradient",
     "RmsPropState",
     "conv1d_backward",
     "conv1d_forward",
@@ -234,19 +235,23 @@ def conv1d_backward(
     return dx, dkernel, dbias
 
 
+def _later_wins(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The pools' winner rule, as numpy's argmax picks: the later slot wins only if it is
+    larger or it alone is NaN. Ties go to the earlier slot, and the first NaN wins."""
+    return ~(first >= second) & (first == first)
+
+
 def maxpool1d(x, winners: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Max pooling with window 2 and stride 2 over the time axis.
 
     A trailing odd timestep is dropped. Returns the pooled tensor of
-    shape (..., T // 2, C) and the absolute time index of each winning
-    element, which the backward pass uses to route gradients. The winner
-    is chosen as numpy's argmax would: ties go to the earlier position
-    and the first NaN wins, so a NaN always propagates.
+    shape (..., T // 2, C) and the absolute time index of each window's
+    winner under the winner rule (_later_wins).
 
-    With winners=False it returns np.maximum of the two slots and None.
-    That is the winner rule's value, bit for bit, only on relu output:
-    where a pair is +0.0 then -0.0, np.maximum may return -0.0, and a
-    relu output holds no -0.0.
+    With winners=False, which Model.forward uses, it returns np.maximum of
+    the two slots and None. That is the winner rule's value, bit for bit,
+    only on relu output: where a pair is +0.0 then -0.0, np.maximum may
+    return -0.0, and a relu output holds no -0.0.
     """
     x = np.asarray(x)
     steps = x.shape[-2]
@@ -257,18 +262,19 @@ def maxpool1d(x, winners: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     second = x[..., 1 : 2 * t_out : 2, :]
     if not winners:
         return np.maximum(first, second), None
-    # The later slot wins if it is larger, or if it alone is NaN.
-    later = ~(first >= second) & (first == first)
-    pooled = np.where(later, second, first)
-    return pooled, later + 2 * np.arange(t_out).reshape(-1, 1)
+    later = _later_wins(first, second)
+    return np.where(later, second, first), later + 2 * np.arange(t_out).reshape(-1, 1)
 
 
-def maxpool1d_backward(
-    dout: np.ndarray, winners: np.ndarray, input_shape: tuple[int, ...]
-) -> np.ndarray:
-    """Route pooled gradients back to the winning input positions."""
-    dx = np.zeros(input_shape, dtype=dout.dtype)
-    np.put_along_axis(dx, winners, dout, axis=-2)
+def maxpool1d_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Route each pooled gradient to its window's winner in x, the pool's input, under
+    the winner rule (_later_wins); the other slot and a dropped timestep get +0.0."""
+    t_out = dout.shape[-2]
+    later = _later_wins(x[..., 0 : 2 * t_out : 2, :], x[..., 1 : 2 * t_out : 2, :])
+    dx = np.zeros(x.shape, dtype=dout.dtype)
+    bits = np.dtype(f"u{dout.itemsize}")  # A bit pattern times 1 or 0: itself, or +0.0.
+    np.multiply(dout.view(bits), ~later, out=dx[..., 0 : 2 * t_out : 2, :].view(bits))
+    np.multiply(dout.view(bits), later, out=dx[..., 1 : 2 * t_out : 2, :].view(bits))
     return dx
 
 
@@ -329,14 +335,14 @@ def cross_entropy(probs, labels) -> np.ndarray:
 
 class ForwardCache(SimpleNamespace):
     """What Model.forward records for one backward pass: the model, its
-    version and the ids; each layer's output under its LAYERS name
-    (cache.conv1); and winners, each pool layer's winning positions.
+    version and the ids, and each layer's output under its LAYERS name
+    (cache.conv1). model_backward finds each pool's winners again in the
+    pool's input, the conv output before it.
 
     For the embedding it holds the batch's distinct ids, their rows and
     each position's index into them; cache.embedded is placed as
     rows[inverse] only when first read. model_backward never reads it: it
-    works on the distinct rows. Model.forward(ids, cache=False) builds
-    none of this.
+    works on the distinct rows.
     """
 
     @cached_property
@@ -352,17 +358,14 @@ class Model:
     params: dict[str, np.ndarray]
     _version: int = field(default=0, init=False, repr=False)
 
-    def forward(self, ids, cache: bool = True) -> tuple[np.ndarray, ForwardCache | None]:
+    def forward(self, ids) -> tuple[np.ndarray, ForwardCache]:
         """Run the layer stack on a batch of padded id sequences.
 
         ids has shape (batch, L); a single (L,) sequence is promoted to a
         batch of one. Returns softmax probabilities of shape (batch,
-        classes) and the cache consumed by model_backward.
-
-        With cache=False (inference) the walk keeps no layer outputs, each
-        pool records no winners, and the second value is None. The
-        probabilities are the same bits either way: a pool's input is a
-        relu output, so maxpool1d's winners=False mode is exact on it.
+        classes) and the cache consumed by model_backward; inference takes
+        forward(ids)[0], so the cache goes when the call returns. Each pool
+        is maxpool1d's winners=False mode, exact on its relu input.
 
         conv1 projects each distinct id's embedding row once instead of
         every position's, to the same bits as the per-position convolution
@@ -376,7 +379,7 @@ class Model:
         if ids.ndim != 2 or ids.shape[1] != cfg.L or not len(ids):
             raise ValueError(f"expected ids of shape (batch, {cfg.L}) with batch >= 1, "
                              f"got {ids.shape}")
-        params, x, outputs, winners = self.params, ids, {}, {}
+        params, x, outputs = self.params, ids, {}
         for layer, shape in zip(LAYERS, cfg.shape_chain()):
             weights = [params[name] for name in layer.params]
             if layer.kind == "embed":
@@ -387,8 +390,7 @@ class Model:
                 lookup = np.empty(len(weights[0]), dtype=np.intp)
                 lookup[distinct] = np.arange(distinct.size)
                 inverse = lookup[ids]
-                if cache:
-                    outputs.update(distinct=distinct, rows=rows, inverse=inverse)
+                outputs.update(distinct=distinct, rows=rows, inverse=inverse)
                 continue
             elif layer.kind == "conv_relu":
                 if x is ids:
@@ -396,7 +398,7 @@ class Model:
                 else:
                     x = conv1d_forward(x, *weights)
             elif layer.kind == "pool":
-                x, winners[layer.name] = maxpool1d(x, winners=cache)
+                x, _ = maxpool1d(x, winners=False)
             elif layer.kind == "flatten":
                 x = x.reshape(x.shape[0], -1)
             elif layer.kind == "dense_relu":
@@ -408,13 +410,8 @@ class Model:
                 # It also turns -0.0 into +0.0, which the pools' winners=False mode needs.
                 np.maximum(x, 0, out=x)
             assert x.shape[1:] == shape, (layer.name, x.shape)
-            if cache:
-                outputs[layer.name] = x
-        if not cache:
-            return x, None
-        return x, ForwardCache(
-            model=self, version=self._version, ids=ids, winners=winners, **outputs
-        )
+            outputs[layer.name] = x
+        return x, ForwardCache(model=self, version=self._version, ids=ids, **outputs)
 
 
 def _distinct(ids: np.ndarray) -> np.ndarray:
@@ -523,7 +520,7 @@ def model_backward(cache: ForwardCache, labels) -> dict[str, np.ndarray]:
         elif layer.kind == "conv_relu":
             dout, *dparams = conv1d_backward(x, weight, dout)
         elif layer.kind == "pool":
-            dout = maxpool1d_backward(dout, cache.winners[layer.name], x.shape)
+            dout = maxpool1d_backward(dout, x)
         elif layer.kind == "flatten":
             dout = dout.reshape(x.shape)
         else:
@@ -573,6 +570,10 @@ class RmsPropState:
     scratch: dict[np.dtype, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
 
+class NonFiniteGradient(ValueError):
+    """rmsprop_step's refusal of a gradient tensor that holds NaN or inf."""
+
+
 def rmsprop_step(model: Model, grads: dict[str, np.ndarray], state: RmsPropState) -> None:
     """Apply one in-place RMSProp update to model.params.
 
@@ -590,7 +591,7 @@ def rmsprop_step(model: Model, grads: dict[str, np.ndarray], state: RmsPropState
                 f"gradient shape {grad.shape} does not match {name} shape {param.shape}"
             )
         if not np.all(np.isfinite(grad)):
-            raise ValueError(f"non-finite gradient for {name}")
+            raise NonFiniteGradient(f"non-finite gradient for {name}")
     for name, param in params.items():
         grad = grads[name]
         acc = state.accumulators.get(name)
@@ -629,8 +630,7 @@ def gradient_check(model: Model, ids, labels) -> dict[str, float]:
     analytic = model_backward(cache, labels)
 
     def loss() -> float:
-        probs, _ = model.forward(ids, cache=False)
-        return float(np.mean(cross_entropy(probs, labels)))
+        return float(np.mean(cross_entropy(model.forward(ids)[0], labels)))
 
     errors: dict[str, float] = {}
     for name, theta in model.params.items():

@@ -17,8 +17,8 @@ import numpy as np
 
 from .corpus import CATEGORY_CODES, MODE_EMOTICON_TEXT, MODE_TEXT_ONLY, Tweet, preprocess
 from .encode import Vocabulary, encode, pad
-from .nn import (LAYERS, Model, RmsPropState, check_codes, check_field_types, cross_entropy,
-                 model_backward, rmsprop_step)
+from .nn import (LAYERS, Model, NonFiniteGradient, RmsPropState, check_codes, check_field_types,
+                 cross_entropy, model_backward, rmsprop_step)
 
 __all__ = [
     "ConfusionMatrix",
@@ -40,7 +40,7 @@ _EVAL_BATCH = 256
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss or a gradient stops being finite."""
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,8 @@ def predict_codes(model: Model, ids: np.ndarray) -> np.ndarray:
     preds = np.empty(ids.shape[0], dtype=np.int64)
     for start in range(0, ids.shape[0], _EVAL_BATCH):
         chunk = ids[start : start + _EVAL_BATCH]
-        probs, _ = model.forward(chunk, cache=False)
-        preds[start : start + chunk.shape[0]] = probs.argmax(axis=-1) + 1
+        # [0] drops the chunk's cache before the next chunk's forward runs.
+        preds[start : start + chunk.shape[0]] = model.forward(chunk)[0].argmax(axis=-1) + 1
     return preds
 
 
@@ -211,7 +211,8 @@ def train_model(
     epoch number, so runs are reproducible yet batches vary by epoch.
     Raises TrainingDiverged if a batch loss stops being finite, naming
     the epoch, the 1-based batch and the first layer, in LAYERS order,
-    whose output is not finite.
+    whose output is not finite; or if a gradient does, naming the epoch,
+    the batch and the first such tensor in PARAM_NAMES order.
     """
     train_ids, train_labels = np.asarray(train_set[0]), np.asarray(train_set[1])
     test_ids, test_labels = np.asarray(test_set[0]), np.asarray(test_set[1])
@@ -234,6 +235,7 @@ def train_model(
             correct = 0
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
+                where = f"epoch {epoch}, batch {start // cfg.batch_size + 1}"
                 labels = train_labels[batch]
                 probs, cache = model.forward(train_ids[batch])
                 losses = cross_entropy(probs, labels)
@@ -243,13 +245,15 @@ def train_model(
                     culprit = next(layer.name for layer in LAYERS
                                    if not np.isfinite(getattr(cache, layer.name)).all())
                     raise TrainingDiverged(
-                        f"non-finite loss in epoch {epoch}, batch {start // cfg.batch_size + 1}: "
-                        f"first non-finite tensor is {culprit}"
+                        f"non-finite loss in {where}: first non-finite tensor is {culprit}"
                     )
                 loss_sum += batch_loss
                 correct += int(((probs.argmax(axis=-1) + 1) == labels).sum())
                 grads = model_backward(cache, labels)
-                rmsprop_step(model, grads, state)
+                try:
+                    rmsprop_step(model, grads, state)
+                except NonFiniteGradient as exc:
+                    raise TrainingDiverged(f"{exc} in {where}") from exc
             test_acc, _ = evaluate(model, (test_ids, test_labels))
             history.append(
                 EpochRecord(

@@ -3,11 +3,12 @@
 Everything here shares no code with the package, so agreement is
 meaningful evidence of correctness. The ``naive_`` oracles are explicit
 Python loops; the others are the package's earlier numpy kernels (einsum
-convolution, argmax pooling, np.add.at scatter, one-hot loss and logit
-gradient), its earlier forward and backward passes (which do call the
-package's layer functions) and its earlier text stages (a whitespace
-collapse by regex and an emoticon scan that walks every grapheme cluster
-in Python), kept to pin the fast paths that replaced them.
+convolution, argmax pooling, put_along_axis pool routing, np.add.at
+scatter, one-hot loss and logit gradient), its earlier forward and
+backward passes (which do call the package's layer functions) and its
+earlier text stages (a whitespace collapse by regex and an emoticon scan
+that walks every grapheme cluster in Python), kept to pin the fast paths
+that replaced them.
 """
 
 from __future__ import annotations
@@ -92,21 +93,21 @@ def einsum_conv1d_backward(x, kernel, dout):
     return dx, dkernel, dbias
 
 
-def gemm_model_forward(model, ids, cache=True):
+def gemm_model_forward(model, ids):
     """Model.forward as it was before conv1 projected distinct rows: embed
-    every position, then one GEMM per conv1 tap over the whole batch.
+    every position, then one GEMM per conv1 tap over the whole batch, and
+    pool by the winner rule.
 
     The cache also records the distinct ids, their rows and each
     position's index into them, found here by np.unique, so that
-    model_backward can run on it as on Model.forward's cache. With
-    cache=False it still pools by the winner rule, and returns None."""
+    model_backward can run on it as on Model.forward's cache."""
     cfg = model.config
     ids = np.asarray(ids)
     if ids.ndim == 1:
         ids = ids[None, :]
     if ids.ndim != 2 or ids.shape[1] != cfg.L:
         raise ValueError(f"expected ids of shape (batch, {cfg.L}), got {ids.shape}")
-    params, x, outputs, winners = model.params, ids, {}, {}
+    params, x, outputs = model.params, ids, {}
     for layer, shape in zip(nn.LAYERS, cfg.shape_chain()):
         weights = [params[name] for name in layer.params]
         if layer.kind == "embed":
@@ -117,7 +118,7 @@ def gemm_model_forward(model, ids, cache=True):
         elif layer.kind == "conv_relu":
             x = np.maximum(nn.conv1d_forward(x, *weights), 0)
         elif layer.kind == "pool":
-            x, winners[layer.name] = nn.maxpool1d(x)
+            x, _ = nn.maxpool1d(x)
         elif layer.kind == "flatten":
             x = x.reshape(x.shape[0], -1)
         elif layer.kind == "dense_relu":
@@ -126,11 +127,7 @@ def gemm_model_forward(model, ids, cache=True):
             x = nn.softmax(nn.dense_forward(x, *weights))
         assert x.shape[1:] == shape, (layer.name, x.shape)
         outputs[layer.name] = x
-    if not cache:
-        return x, None
-    return x, nn.ForwardCache(
-        model=model, version=model._version, ids=ids, winners=winners, **outputs
-    )
+    return x, nn.ForwardCache(model=model, version=model._version, ids=ids, **outputs)
 
 
 def per_position_model_backward(cache, labels):
@@ -156,13 +153,21 @@ def per_position_model_backward(cache, labels):
         elif layer.kind == "conv_relu":
             dout, *dparams = nn.conv1d_backward(x, weight, dout)
         elif layer.kind == "pool":
-            dout = nn.maxpool1d_backward(dout, cache.winners[layer.name], x.shape)
+            dout = put_along_axis_maxpool1d_backward(dout, nn.maxpool1d(x)[1], x.shape)
         elif layer.kind == "flatten":
             dout = dout.reshape(x.shape)
         else:
             dout, *dparams = nn.dense_backward(x, weight, dout)
         grads.update(zip(layer.params, dparams))
     return {name: grads[name] for name in nn.PARAM_NAMES}
+
+
+def put_along_axis_maxpool1d_backward(dout, winners, input_shape):
+    """Pooled gradients put at the winners' time indices (maxpool1d's second
+    value) of a zero input gradient."""
+    dx = np.zeros(input_shape, dtype=dout.dtype)
+    np.put_along_axis(dx, winners, dout, axis=-2)
+    return dx
 
 
 def argmax_maxpool1d(x) -> tuple[np.ndarray, np.ndarray]:

@@ -11,10 +11,11 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from naive_oracles import gemm_model_forward
 
-from emoticnn import nn
+from emoticnn import nn, train
 from emoticnn.cli import main as cli_main
 from emoticnn.corpus import MODE_EMOTICON_TEXT, MODE_TEXT_ONLY, load_dataset
 from emoticnn.persist import load_model
@@ -374,7 +375,7 @@ def test_settings_error_is_reported_before_the_dataset_is_read(tmp_path, capsys,
 
 @pytest.mark.parametrize("where", ["flag", "config"])
 def test_max_len_too_large_for_an_index_fails_cleanly(synth_csv, tmp_path, capsys, where):
-    # A value that still fits an index is not tried: pad would allocate it.
+    # A value that still fits an index reaches pad (the next test).
     out = tmp_path / "run"
     argv = ["train", "--data", str(synth_csv), "--out", str(out), "--epochs", "1"]
     if where == "flag":
@@ -392,6 +393,27 @@ def test_max_len_too_large_for_an_index_fails_cleanly(synth_csv, tmp_path, capsy
     assert captured.err.startswith("error: ")
     assert f"sequence length {length} is too long" in captured.err
     assert not out.exists()
+
+
+def test_max_len_too_large_to_allocate_fails_with_one_error_line(tmp_path):
+    """L = 10**12 fits an index, but pad cannot allocate its padding. The
+    child runs under a 4 GB address-space limit, so that the allocation fails
+    at once however the machine overcommits memory."""
+    data = tmp_path / "data.csv"
+    assert cli_main(["synth", "--n", "40", "--seed", "2", "--out", str(data)]) == 0
+    child = ("import resource, sys; from emoticnn.cli import main; "
+             "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+             "sys.exit(main(sys.argv[1:]))")
+    result = subprocess.run(
+        [sys.executable, "-c", child, "train", "--data", str(data), "--out", "o",
+         "--epochs", "1", "--max-len", "1000000000000"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: out of memory\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_object_config_fails(synth_csv, tmp_path, capsys):
@@ -686,6 +708,46 @@ def test_ablate_reports_diverged_modes_as_failed(synth_csv, tmp_path, capsys):
         b"text_only,,,,failed\n"
     )
     assert captured.out.splitlines()[1].split() == [MODE_EMOTICON_TEXT, "failed"]
+
+
+def _nan_gradients(monkeypatch):
+    """Make every training step's dense1 weight gradient NaN."""
+    real_backward = train.model_backward
+
+    def backward(cache, labels):
+        grads = real_backward(cache, labels)
+        grads["dense1_weight"][0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(train, "model_backward", backward)
+
+
+def test_a_non_finite_gradient_ends_train_with_one_error_line(synth_csv, tmp_path, capsys,
+                                                                monkeypatch):
+    _nan_gradients(monkeypatch)
+    out = tmp_path / "out"
+    assert cli_main(quick_train_args(synth_csv, out)) == 1
+    assert capsys.readouterr().err == (
+        "error: training diverged: non-finite gradient for dense1_weight in epoch 1, batch 1\n"
+    )
+    assert not out.exists()
+
+
+def test_ablate_reports_a_non_finite_gradient_as_a_failed_mode(synth_csv, tmp_path, capsys,
+                                                               monkeypatch):
+    _nan_gradients(monkeypatch)
+    out = tmp_path / "out"
+    argv = ["ablate", "--data", str(synth_csv), "--out", str(out), "--epochs", "1", "--max-len", "14"]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {mode} run diverged: non-finite gradient for dense1_weight in epoch 1, batch 1"
+        for mode in (MODE_EMOTICON_TEXT, MODE_TEXT_ONLY)
+    ]
+    assert (out / "ablation.csv").read_bytes() == (
+        b"mode,final_test_acc,best_test_acc,best_epoch,status\n"
+        b"emoticon_text,,,,failed\n"
+        b"text_only,,,,failed\n"
+    )
 
 
 def test_ablate_trains_both_modes_to_loadable_models(ablation_run):

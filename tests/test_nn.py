@@ -25,9 +25,10 @@ from naive_oracles import (
     one_hot_cross_entropy,
     one_hot_logit_gradient,
     per_position_model_backward,
+    put_along_axis_maxpool1d_backward,
 )
 
-from emoticnn import nn
+from emoticnn import nn, train
 from emoticnn.nn import (
     LOSS_CLAMP,
     PARAM_NAMES,
@@ -158,6 +159,21 @@ def test_maxpool1d_matches_argmax_oracle(x):
         assert np.array_equal(winners, naive_winners)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@settings(max_examples=300, deadline=None)
+@given(x=pool_inputs, data=st.data())
+def test_maxpool1d_backward_matches_put_along_axis_oracle(dtype, x, data):
+    """The backward finds the winners in the pool's input by the rule that
+    maxpool1d's winners obey, and copies each gradient's bits, NaN and -0.0
+    included; every other slot is +0.0."""
+    pooled_shape = (*x.shape[:-2], x.shape[-2] // 2, x.shape[-1])
+    dout = data.draw(arrays(np.float64, pooled_shape, elements=pool_values))
+    with np.errstate(over="ignore"):
+        x, dout = x.astype(dtype), dout.astype(dtype)
+    oracle = put_along_axis_maxpool1d_backward(dout, maxpool1d(x)[1], x.shape)
+    assert_same_floats(maxpool1d_backward(dout, x), oracle)
+
+
 @pytest.mark.parametrize(
     "pair, value, winner",
     [
@@ -277,18 +293,18 @@ def test_maxpool_drops_trailing_odd_element():
 
 
 def test_maxpool_tie_goes_to_earlier_index():
-    pooled, winners = maxpool1d(np.array([[7.0], [7.0]]))
+    x = np.array([[7.0], [7.0]])
+    pooled, winners = maxpool1d(x)
     assert np.array_equal(pooled, [[7.0]])
     assert np.array_equal(winners, [[0]])
-    dx = maxpool1d_backward(np.array([[1.0]]), winners, (2, 1))
+    dx = maxpool1d_backward(np.array([[1.0]]), x)
     assert np.array_equal(dx, [[1.0], [0.0]])
 
 
 def test_maxpool_backward_routes_only_to_winners():
     x = np.array([[1.0, 9.0], [5.0, 2.0], [0.0, 1.0], [3.0, 4.0]])
-    pooled, winners = maxpool1d(x)
     dout = np.array([[10.0, 20.0], [30.0, 40.0]])
-    dx = maxpool1d_backward(dout, winners, x.shape)
+    dx = maxpool1d_backward(dout, x)
     assert np.array_equal(dx, [[0.0, 20.0], [10.0, 0.0], [0.0, 0.0], [30.0, 40.0]])
 
 
@@ -869,49 +885,33 @@ def test_forward_peak_memory_is_no_higher_than_the_oracles():
     assert fold <= oracle, (fold, oracle)
 
 
-def test_forward_without_cache_peaks_below_the_forward_with_it():
-    """B=256, L=64: inference keeps no layer outputs and no pool winners,
-    so it holds less at once than the forward that feeds a backward pass."""
+def test_predict_codes_frees_each_chunks_cache_before_the_next_forward():
+    """L=64, three chunks: predict_codes holds at most one 256-row forward
+    and its cache at once, plus its output arrays. A loop that kept the last
+    chunk's cache while the next forward ran would hold two."""
     model = init_model(ModelConfig(vocab_size=107, L=64), 0)
-    ids = np.random.default_rng(0).integers(0, 107, size=(256, 64))
-    inference = _traced_peak(lambda model, ids: model.forward(ids, cache=False), model, ids)
-    training = _traced_peak(Model.forward, model, ids)
-    assert inference < training, (inference, training)
+    ids = np.random.default_rng(0).integers(0, 107, size=(2 * train._EVAL_BATCH + 1, 64))
+    forward = _traced_peak(Model.forward, model, ids[: train._EVAL_BATCH])
+    predict = _traced_peak(train.predict_codes, model, ids)
+    # The predictions, and one chunk's float64 probabilities.
+    outputs = ids.shape[0] * 8 + train._EVAL_BATCH * model.config.classes * 8
+    assert predict <= forward + outputs, (predict, forward)
 
 
-@pytest.mark.parametrize("precision", ["float64", "float32"])
-@pytest.mark.parametrize("length", [10, 18, 64], ids=["min_L", "L18", "L64"])
-@settings(max_examples=6, deadline=None)
-@given(
-    batch=st.sampled_from([1, 3, 257]),
-    vocab=st.sampled_from([2, 9, 300]),
-    pattern=st.sampled_from(["random", "padding rows", "one id"]),
-    seed=st.integers(0, 2**16),
-)
-@example(batch=257, vocab=300, pattern="random", seed=0)
-@example(batch=1, vocab=9, pattern="one id", seed=1)
-def test_forward_without_cache_is_the_forward_bit_for_bit(
-    precision, length, batch, vocab, pattern, seed
-):
-    """cache=False pools with np.maximum and keeps nothing, to the same bits."""
-    model = init_model(ModelConfig(vocab_size=vocab, L=length, precision=precision), seed)
-    ids = _fold_case_ids(np.random.default_rng(seed), batch, length, vocab, pattern)
-    probs, cache = model.forward(ids, cache=False)
-    assert cache is None
-    assert_same_floats(probs, model.forward(ids)[0])
-
-
-def test_forward_without_cache_propagates_a_nan_row_as_the_forward_does():
+def test_forward_propagates_a_nan_row_to_the_posts_that_read_it():
+    """np.maximum pools a NaN through, as the winner rule does (the first
+    NaN wins), so exactly the posts that read the NaN row go NaN."""
     model = init_model(ModelConfig(vocab_size=12, L=18), 0)
     model.params["embedding"][5] = np.nan
     ids = np.random.default_rng(0).integers(0, 12, size=(8, 18))
-    ids[::2] = np.where(ids[::2] == 5, 6, ids[::2])
-    ids[1::2, 4] = 5
+    ids[ids == 5] = 6
+    # Only conv1's first position reads position 0, so pool1's first pair is NaN, then finite.
+    ids[1::2, 0] = 5
     with np.errstate(invalid="ignore"):
-        inference, _ = model.forward(ids, cache=False)
-        training, _ = model.forward(ids)
-    assert_same_floats(inference, training)
-    assert np.isnan(inference).any(axis=1).tolist() == [False, True] * 4
+        probs, _ = model.forward(ids)
+        oracle, _ = gemm_model_forward(model, ids)
+    assert_same_floats(probs, oracle)
+    assert np.isnan(probs).any(axis=1).tolist() == [False, True] * 4
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

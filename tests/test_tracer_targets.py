@@ -91,22 +91,6 @@ def test_tracer_sees_every_layer_call_in_order():
         ]
 
 
-def test_tracer_sees_every_layer_call_of_the_forward_without_cache():
-    """Inference runs the same walk: the forward half of the span list,
-    in the same order."""
-    model = nn.init_model(nn.ModelConfig(vocab_size=12, L=10), seed=0)
-    for name, ids in BATCHES.items():
-        tracer = SPANS.Tracer()
-        tracer.install()
-        try:
-            _, cache = model.forward(ids, cache=False)
-        finally:
-            tracer.uninstall()
-
-        assert cache is None, name
-        assert [span[1] for span in tracer.spans] == FORWARD_SPANS, name
-
-
 def test_every_eval_chunk_gets_its_own_layer_spans():
     """The tracer names conv1/conv2 and pool1/pool2 by call order under each
     nn.forward span, so every chunk of predict_codes must enter through

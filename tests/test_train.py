@@ -373,6 +373,29 @@ def test_divergence_names_the_layer_of_a_nan_parameter(param):
     )
 
 
+def test_a_non_finite_gradient_raises_diverged_naming_epoch_batch_and_tensor(monkeypatch):
+    """rmsprop_step refuses the gradient before it touches a parameter, and
+    train_model reports where, as it does for a non-finite loss."""
+    model, data, _ = make_training_setup()
+    real_backward = train_module.model_backward
+    steps = []
+
+    def backward(cache, labels):
+        grads = real_backward(cache, labels)
+        steps.append(cache.version)
+        if len(steps) == 6:  # epoch 2 (four batches of four per epoch), batch 2
+            grads["dense1_bias"][3] = np.inf
+            grads["conv2_kernel"].flat[0] = np.nan
+        return grads
+
+    monkeypatch.setattr(train_module, "model_backward", backward)
+    cfg = TrainConfig(batch_size=4, epochs=3, seed=0)
+    with pytest.raises(TrainingDiverged) as excinfo:
+        train_model(model, data, data, cfg)
+    assert str(excinfo.value) == "non-finite gradient for conv2_kernel in epoch 2, batch 2"
+    assert model._version == 5
+
+
 def test_train_model_validates_geometry():
     model, data, cfg = make_training_setup()
     wide = toy_dataset(length=12)
