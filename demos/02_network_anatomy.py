@@ -19,7 +19,10 @@ from emoticnn import (
 # 1. The architecture is fixed and written down once, as the table
 #    LAYERS: one row per layer, in forward order, with its kind and
 #    its parameters. Only the vocabulary size and the sequence length
-#    L vary. The config walks the table for the dimension chain.
+#    L vary. The config walks the table for the dimension chain. A
+#    kind ending in _relu applies relu to that layer's output, so relu
+#    follows each pool, not each convolution: relu and max commute, and
+#    after the pool relu touches half the values or fewer.
 # ------------------------------------------------------------------
 
 config = ModelConfig(vocab_size=40, L=16)
@@ -36,7 +39,9 @@ except ValueError as exc:
 
 # ------------------------------------------------------------------
 # 2. A forward pass returns probabilities plus a cache of every
-#    layer's output, which the backward pass consumes.
+#    layer's output, which the backward pass consumes. cache.conv1 and
+#    cache.conv2 hold pre-activations; the backward pass finds each
+#    pool's winners in them.
 # ------------------------------------------------------------------
 
 model = init_model(config, seed=0)

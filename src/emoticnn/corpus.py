@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -80,14 +81,18 @@ class CorpusError(ValueError):
 
 @dataclass(frozen=True)
 class Tweet:
-    """One labeled microblog post."""
+    """One labeled microblog post; label is an integer category code 1..4."""
 
     text: str
     label: int
 
     def __post_init__(self):
-        if self.label not in CATEGORY_CODES:
-            raise CorpusError(f"label out of range: {self.label}")
+        label = self.label
+        # nn.check_field_types's rule for int fields, after a fast path for a plain int.
+        if type(label) is not int and (isinstance(label, bool) or not isinstance(label, numbers.Integral)):
+            raise CorpusError(f"label must be an integer, got {label!r}")
+        if label not in CATEGORY_CODES:
+            raise CorpusError(f"label out of range: {label}")
 
 
 def read_utf8(path) -> str:

@@ -60,15 +60,15 @@ class Layer(NamedTuple):
     params: tuple[str, ...] = ()
 
 
-# The network in forward order. Kinds: embed, conv_relu, pool, flatten,
-# dense_relu and dense_softmax. A row's name is also the ForwardCache
-# attribute that holds the layer's output.
+# The network in forward order. Kinds: embed, conv, pool_relu, flatten,
+# dense_relu and dense_softmax; a _relu row applies relu to its output.
+# A row's name is also the ForwardCache attribute that holds that output.
 LAYERS = (
     Layer("embedded", "embed", "embed_dim", ("embedding",)),
-    Layer("conv1", "conv_relu", "conv1_filters", ("conv1_kernel", "conv1_bias")),
-    Layer("pool1", "pool"),
-    Layer("conv2", "conv_relu", "conv2_filters", ("conv2_kernel", "conv2_bias")),
-    Layer("pool2", "pool"),
+    Layer("conv1", "conv", "conv1_filters", ("conv1_kernel", "conv1_bias")),
+    Layer("pool1", "pool_relu"),
+    Layer("conv2", "conv", "conv2_filters", ("conv2_kernel", "conv2_bias")),
+    Layer("pool2", "pool_relu"),
     Layer("flat", "flatten"),
     Layer("dense1", "dense_relu", "dense_hidden", ("dense1_weight", "dense1_bias")),
     Layer("probs", "dense_softmax", "classes", ("dense2_weight", "dense2_bias")),
@@ -157,10 +157,10 @@ class ModelConfig:
             weight = ()
             if layer.kind == "embed":
                 weight, shape = (self.vocab_size, width), (self.L, width)
-            elif layer.kind == "conv_relu":
+            elif layer.kind == "conv":
                 weight = (self.kernel, shape[-1], width)
                 shape = (shape[0] - self.kernel + 1, width)
-            elif layer.kind == "pool":
+            elif layer.kind == "pool_relu":
                 shape = (shape[0] // self.pool_stride, width)
             elif layer.kind == "flatten":
                 shape = (math.prod(shape),)
@@ -249,9 +249,9 @@ def maxpool1d(x, winners: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     winner under the winner rule (_later_wins).
 
     With winners=False, which Model.forward uses, it returns np.maximum of
-    the two slots and None. That is the winner rule's value, bit for bit,
-    only on relu output: where a pair is +0.0 then -0.0, np.maximum may
-    return -0.0, and a relu output holds no -0.0.
+    the two slots and None: the winner rule's value, bit for bit, except
+    that a +0.0, -0.0 pair may give -0.0. The relu that Model.forward
+    applies next maps either zero to +0.0, so the two agree after it.
     """
     x = np.asarray(x)
     steps = x.shape[-2]
@@ -336,8 +336,8 @@ def cross_entropy(probs, labels) -> np.ndarray:
 class ForwardCache(SimpleNamespace):
     """What Model.forward records for one backward pass: the model, its
     version and the ids, and each layer's output under its LAYERS name
-    (cache.conv1). model_backward finds each pool's winners again in the
-    pool's input, the conv output before it.
+    (cache.conv1 is conv1's pre-activation). model_backward finds each
+    pool's winners again in the pool's input, that conv pre-activation.
 
     For the embedding it holds the batch's distinct ids, their rows and
     each position's index into them; cache.embedded is placed as
@@ -365,7 +365,7 @@ class Model:
         batch of one. Returns softmax probabilities of shape (batch,
         classes) and the cache consumed by model_backward; inference takes
         forward(ids)[0], so the cache goes when the call returns. Each pool
-        is maxpool1d's winners=False mode, exact on its relu input.
+        is maxpool1d's winners=False mode, exact under the relu after it.
 
         conv1 projects each distinct id's embedding row once instead of
         every position's, to the same bits as the per-position convolution
@@ -392,12 +392,12 @@ class Model:
                 inverse = lookup[ids]
                 outputs.update(distinct=distinct, rows=rows, inverse=inverse)
                 continue
-            elif layer.kind == "conv_relu":
+            elif layer.kind == "conv":
                 if x is ids:
                     x = _conv1d_of_rows(rows, inverse, *weights)
                 else:
                     x = conv1d_forward(x, *weights)
-            elif layer.kind == "pool":
+            elif layer.kind == "pool_relu":
                 x, _ = maxpool1d(x, winners=False)
             elif layer.kind == "flatten":
                 x = x.reshape(x.shape[0], -1)
@@ -407,7 +407,7 @@ class Model:
                 x = softmax(dense_forward(x, *weights))
             if layer.kind.endswith("_relu"):
                 # relu in place, so a pre-activation never lives beside its output.
-                # It also turns -0.0 into +0.0, which the pools' winners=False mode needs.
+                # After a pool it maps either zero of a ±0 tie to +0.0: relu of the winner rule's value.
                 np.maximum(x, 0, out=x)
             assert x.shape[1:] == shape, (layer.name, x.shape)
             outputs[layer.name] = x
@@ -507,19 +507,19 @@ def model_backward(cache: ForwardCache, labels) -> dict[str, np.ndarray]:
     outputs = [cache.ids, cache.rows, *(getattr(cache, layer.name) for layer in LAYERS[1:])]
     for layer, x, out in reversed(list(zip(LAYERS, outputs, outputs[1:]))):
         weight = model.params[layer.params[0]] if layer.params else None
-        # A relu output is positive exactly where its input was.
-        if layer.kind in ("conv_relu", "dense_relu"):
+        # A relu output is positive exactly where its input was; a pool routes the masked dout.
+        if layer.kind.endswith("_relu"):
             dout = dout * (out > 0)
         dparams = ()
         if layer.kind == "embed":
             dembedding = np.zeros_like(weight)
             dembedding[cache.distinct] = dout
             dparams = (dembedding,)
-        elif layer.kind == "conv_relu" and x is cache.rows:
+        elif layer.kind == "conv" and x is cache.rows:
             dout, *dparams = _conv1d_of_rows_backward(x, cache.inverse, weight, dout)
-        elif layer.kind == "conv_relu":
+        elif layer.kind == "conv":
             dout, *dparams = conv1d_backward(x, weight, dout)
-        elif layer.kind == "pool":
+        elif layer.kind == "pool_relu":
             dout = maxpool1d_backward(dout, x)
         elif layer.kind == "flatten":
             dout = dout.reshape(x.shape)

@@ -153,10 +153,14 @@ def encode_texts(texts, labels, vocab: Vocabulary, length: int) -> tuple[np.ndar
     """Encode and pad already preprocessed texts into (ids, labels) arrays.
 
     texts may be a generator; each text is dropped once it is encoded.
+    labels must be integer category codes, one per text (nn.check_codes).
     """
     rows = [pad(encode(text, vocab), length) for text in texts]
     ids = np.asarray(rows, dtype=np.int64).reshape(len(rows), length)
-    return ids, np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    if not labels.size:
+        labels = labels.astype(np.int64)  # np.asarray([]) is float64; evaluate refuses an empty set.
+    return ids, check_codes(labels, len(CATEGORY_CODES), (len(rows),)).astype(np.int64, copy=False)
 
 
 def predict_codes(model: Model, ids: np.ndarray) -> np.ndarray:
@@ -220,8 +224,8 @@ def train_model(
     for name, ids in (("train", train_ids), ("test", test_ids)):
         if ids.ndim != 2 or ids.shape[1] != length:
             raise ValueError(f"{name} ids must have shape (n, {length}), got {ids.shape}")
-    if train_ids.shape[0] == 0:
-        raise ValueError("training set is empty")
+        if not len(ids):
+            raise ValueError(f"{name} set is empty")
 
     n = train_ids.shape[0]
     state = RmsPropState(lr=cfg.lr, rho=cfg.rho, epsilon=cfg.epsilon)

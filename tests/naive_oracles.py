@@ -96,7 +96,7 @@ def einsum_conv1d_backward(x, kernel, dout):
 def gemm_model_forward(model, ids):
     """Model.forward as it was before conv1 projected distinct rows: embed
     every position, then one GEMM per conv1 tap over the whole batch, and
-    pool by the winner rule.
+    pool by the winner rule, then relu.
 
     The cache also records the distinct ids, their rows and each
     position's index into them, found here by np.unique, so that
@@ -115,10 +115,10 @@ def gemm_model_forward(model, ids):
             distinct, inverse = np.unique(ids, return_inverse=True)
             outputs.update(distinct=distinct, rows=weights[0][distinct],
                            inverse=inverse.reshape(ids.shape))
-        elif layer.kind == "conv_relu":
-            x = np.maximum(nn.conv1d_forward(x, *weights), 0)
-        elif layer.kind == "pool":
-            x, _ = nn.maxpool1d(x)
+        elif layer.kind == "conv":
+            x = nn.conv1d_forward(x, *weights)
+        elif layer.kind == "pool_relu":
+            x = np.maximum(nn.maxpool1d(x)[0], 0)
         elif layer.kind == "flatten":
             x = x.reshape(x.shape[0], -1)
         elif layer.kind == "dense_relu":
@@ -150,9 +150,9 @@ def per_position_model_backward(cache, labels):
         if layer.kind == "embed":
             dembedding = add_at_embedding_grad(x, dout.astype(np.float64), weight.shape[0])
             dparams = (dembedding.astype(weight.dtype, copy=False),)
-        elif layer.kind == "conv_relu":
+        elif layer.kind == "conv":
             dout, *dparams = nn.conv1d_backward(x, weight, dout)
-        elif layer.kind == "pool":
+        elif layer.kind == "pool_relu":
             dout = put_along_axis_maxpool1d_backward(dout, nn.maxpool1d(x)[1], x.shape)
         elif layer.kind == "flatten":
             dout = dout.reshape(x.shape)

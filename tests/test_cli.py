@@ -502,6 +502,16 @@ def test_eval_rejects_corrupted_weights(trained_run, tmp_path, capsys):
     assert "blob size mismatch" in capsys.readouterr().err
 
 
+def test_eval_on_a_header_only_dataset_fails_with_one_error_line(trained_run, tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_bytes(b"text,label\n")
+    rc = cli_main(["eval", "--model", str(trained_run), "--data", str(data), "--out", str(tmp_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: cannot evaluate on an empty dataset\n")
+    assert not (tmp_path / "confusion.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "predict"])
 def test_non_utf8_manifest_names_its_file_and_line(trained_run, tmp_path, capsys, command):
     broken = tmp_path / "broken"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 from collections.abc import Mapping, MutableMapping
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -333,6 +334,32 @@ def test_tweet_label_validated():
         Tweet("x", 0)
     with pytest.raises(CorpusError):
         Tweet("x", 5)
+    with pytest.raises(CorpusError, match="label must be an integer, got True"):
+        Tweet("hi", True)
+    with pytest.raises(CorpusError, match="label must be an integer, got 2.0"):
+        Tweet("yo", 2.0)
+    assert Tweet("x", np.int64(2)).label == 2
+
+
+integer_codes = st.integers(1, 4)
+numpy_codes = st.sampled_from([np.int64, np.uint8, np.int32, np.float64, np.bool_]).flatmap(
+    integer_codes.map
+)
+tweet_labels = (st.integers(-2, 6) | st.booleans() | st.floats() | st.none() | numpy_codes
+                | integer_codes.map(float) | integer_codes.map(str))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tweet_labels)
+def test_every_label_a_tweet_accepts_survives_a_dataset_round_trip(tmp_path_factory, label):
+    try:
+        tweet = Tweet("hi", label)
+    except CorpusError:
+        return
+    path = tmp_path_factory.mktemp("round_trip") / "data.csv"
+    save_dataset([tweet], path)
+    [loaded] = load_dataset(path)
+    assert loaded == tweet and type(loaded.label) is int
 
 
 # ------------------------------------------------------ synthetic data

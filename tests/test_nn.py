@@ -917,8 +917,9 @@ def test_forward_propagates_a_nan_row_to_the_posts_that_read_it():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("size", [1, 7, 64, 1000])
 def test_relu_in_place_leaves_no_negative_zero(dtype, size):
-    """The pools' winners=False mode is exact only on input without -0.0;
-    numpy's scalar loop (short arrays) and its SIMD loop must both clear it."""
+    """The pools' winners=False mode is exact only once the relu after it
+    clears -0.0; numpy's scalar loop (short arrays) and its SIMD loop must
+    both clear it."""
     x = np.random.default_rng(size).normal(size=size).astype(dtype)
     x[::2] = -0.0
     np.maximum(x, 0, out=x)
@@ -932,6 +933,19 @@ def test_maxpool1d_without_winners_is_the_winner_rule_on_relu_output(x):
     pooled, winners = maxpool1d(relu, winners=False)
     assert winners is None
     assert_same_floats(pooled, maxpool1d(relu)[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@settings(max_examples=300, deadline=None)
+@given(pool_inputs)
+def test_relu_of_maxpool1d_without_winners_is_relu_of_the_winner_rule(dtype, x):
+    """Model.forward pools with winners=False, then relu in place: the
+    relu of the winner rule's value, bit for bit, -0.0 and NaN included."""
+    with np.errstate(over="ignore"):
+        x = x.astype(dtype)
+    pooled, _ = maxpool1d(x, winners=False)
+    np.maximum(pooled, 0, out=pooled)
+    assert_same_floats(pooled, np.maximum(maxpool1d(x)[0], 0))
 
 
 def test_forward_caches_the_distinct_rows_of_every_batch():

@@ -27,6 +27,7 @@ from emoticnn.train import (
     TrainingDiverged,
     confusion_matrix,
     encode_dataset,
+    encode_texts,
     evaluate,
     one_hot,
     predict_codes,
@@ -243,6 +244,14 @@ def test_encode_dataset_shapes_and_padding():
     assert ids[1, 8] != 0 and ids[1, 9] != 0
 
 
+@pytest.mark.parametrize("labels", [[2.7], [True], ["3"], [2, 3]],
+                         ids=["float", "bool", "str", "one_too_many"])
+def test_encode_texts_rejects_labels_that_are_not_one_integer_code_per_text(labels):
+    vocab = fit_vocabulary(["so sad"])
+    with pytest.raises(ValueError, match="labels must be integer category codes of shape"):
+        encode_texts(["so sad"], labels, vocab, 10)
+
+
 # ------------------------------------------------------- train_model
 
 
@@ -405,6 +414,20 @@ def test_train_model_validates_geometry():
         train_model(model, data, wide, cfg)
     with pytest.raises(ValueError, match=r"sequence ids must lie in \[0, 10\)"):
         train_model(model, toy_dataset(vocab_size=50), data, cfg)
+
+
+@pytest.mark.parametrize("empty", ["train", "test"])
+def test_train_model_rejects_an_empty_set_before_any_step(empty):
+    model = init_model(ModelConfig(vocab_size=10, L=10), 0)
+    before = {name: param.copy() for name, param in model.params.items()}
+    data = toy_dataset(n=64)
+    sets = {"train": data, "test": data, empty: (data[0][:0], data[1][:0])}
+    cfg = TrainConfig(batch_size=8, epochs=1)
+    with pytest.raises(ValueError, match=f"^{empty} set is empty$"):
+        train_model(model, sets["train"], sets["test"], cfg)
+    assert model._version == 0
+    for name, param in model.params.items():
+        assert np.array_equal(param, before[name]), name
 
 
 @pytest.mark.parametrize("code", [0, 5])
