@@ -9,10 +9,11 @@ A tweet goes through two text stages before encoding:
 
 Emoji are matched as extended grapheme clusters with longest-match
 scanning, so multi-codepoint emoji (variation selectors, ZWJ sequences,
-skin tones) behave as single units. The scan is one compiled ``regex``
-pass that takes each run of the characters cleaning keeps
-(``[a-z0-9' ]``) whole; only the other clusters, and the characters
-that begin a lexicon key, reach the Python loop that looks keys up.
+skin tones) behave as single units. The scan reads all of a post's
+tokens with one ``regex`` findall: each run of the characters cleaning
+keeps (``[a-z0-9' ]``) is one token; only the other clusters, and the
+characters that begin a lexicon key, reach the Python loop that looks
+keys up.
 
 Because the original tweet collection is not public, this module also
 provides a deterministic synthetic dataset generator whose labels are
@@ -26,9 +27,11 @@ import io
 import json
 import numbers
 import random
+import string
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import regex
 
@@ -47,10 +50,14 @@ _UNEXTENDED = r"(?![\p{GCB=Extend}\p{GCB=ZWJ}\p{GCB=SpacingMark}])"
 _URL_RE = regex.compile(r"(?<!\S)https?://\S+")
 _MENTION_RE = regex.compile(r"(?<!\S)@\S+")
 _WS_RE = regex.compile(r"\s+")
-# Apostrophes are kept only between letters/digits ("can't"); everything
-# else in the ASCII punctuation range becomes a space. [^\W_] rather than
-# \w so that '_' (removed as punctuation) never anchors an apostrophe.
-_PUNCT_RE = regex.compile(r"(?!(?<=[^\W_])'(?=[^\W_]))[!-/:-@\[-`{-~]")
+# Apostrophes are kept only between letters/digits ("can't"). [^\W_]
+# rather than \w so that '_' (removed as punctuation) never anchors an
+# apostrophe.
+_LONE_APOSTROPHE_RE = regex.compile(r"(?<![^\W_])'|'(?![^\W_])")
+# Every other ASCII punctuation byte becomes a space. Each byte of a
+# multi-byte UTF-8 sequence is 0x80 or more, so only ASCII changes.
+_PUNCT = string.punctuation.replace("'", "").encode()
+_PUNCT_TO_SPACE = bytes.maketrans(_PUNCT, b" " * len(_PUNCT))
 
 # Default emoticon table: 16 printed rows, of which 😊 appears twice
 # ("Grinning face" then "Smiling face"); building the dict in row order
@@ -87,6 +94,8 @@ class Tweet:
     label: int
 
     def __post_init__(self):
+        if type(self.text) is not str and not isinstance(self.text, str):
+            raise CorpusError(f"text must be a string, got {self.text!r}")
         label = self.label
         # nn.check_field_types's rule for int fields, after a fast path for a plain int.
         if type(label) is not int and (isinstance(label, bool) or not isinstance(label, numbers.Integral)):
@@ -140,7 +149,7 @@ class EmoticonLexicon(Mapping):
         # is the start of a token.
         run_chars = _BASIC_CHARS.difference(emoji[:1] for emoji in self._entries)
         runs = "".join(map(regex.escape, sorted(run_chars)))
-        self._tokens = regex.compile(rf"([{runs}]+){_UNEXTENDED}|\X" if runs else r"\X")
+        self._tokens = regex.compile(rf"([{runs}]+){_UNEXTENDED}|(\X)" if runs else r"()(\X)")
 
     def __getitem__(self, emoji: str) -> str:
         return self._entries[emoji]
@@ -188,25 +197,34 @@ def clean(raw: str) -> str:
     single spaces. Idempotent.
     """
     text = raw.lower()
-    text = _URL_RE.sub(" ", text)
-    text = _MENTION_RE.sub(" ", text)
-    text = _PUNCT_RE.sub(" ", text)
-    return " ".join(text.split())
+    if "http" in text:
+        text = _URL_RE.sub(" ", text)
+    if "@" in text:
+        text = _MENTION_RE.sub(" ", text)
+    if "'" in text:
+        text = _LONE_APOSTROPHE_RE.sub(" ", text)
+    # surrogatepass carries a lone surrogate through unchanged.
+    text = text.encode("utf-8", "surrogatepass").translate(_PUNCT_TO_SPACE)
+    return " ".join(text.decode("utf-8", "surrogatepass").split())
 
 
 def _scan(text: str, lexicon: EmoticonLexicon, replace: bool) -> str:
     phrases = lexicon._entries
     max_len = lexicon._max_key_clusters
-    token_at = lexicon._tokens.match
     parts: list[str] = []
-    pos = 0
+    pos = 0  # the end of the current token
+    done = 0  # the end of the last key matched
     end = len(text)
-    while pos < end:
+    for run, cluster in lexicon._tokens.findall(text):
         start = pos
-        token = token_at(text, pos)
-        pos = token.end()
-        if token.lastindex:
-            parts.append(token[1])
+        pos += len(run or cluster)
+        if done > start:
+            # The last key covered this token, or ended inside this run.
+            if done < pos:
+                parts.append(text[done:pos])
+            continue
+        if run:
+            parts.append(run)
             continue
         # A key may start at this cluster. A key matches where the text
         # spells it out and a cluster ends right after it, so try the
@@ -218,14 +236,18 @@ def _scan(text: str, lexicon: EmoticonLexicon, replace: bool) -> str:
             phrase = phrases.get(text[start:stop])
             if phrase is not None:
                 parts.append(f" {phrase} " if replace else " ")
-                pos = stop
+                done = stop
                 break
         else:
-            parts.append(token[0] if token[0] in _BASIC_CHARS else " ")
+            parts.append(cluster if cluster in _BASIC_CHARS else " ")
     # Outside phrases the only whitespace left is U+0020, and phrases are
-    # collapsed and stripped already, so splitting on " " alone does what
-    # a \s+ collapse would; U+001C-U+001F inside a phrase stay put.
-    return " ".join(filter(None, "".join(parts).split(" ")))
+    # collapsed and stripped already, so collapsing runs of " " alone does
+    # what a \s+ collapse would; U+001C-U+001F inside a phrase stay put.
+    # Each replace at least halves every run of spaces.
+    out = "".join(parts)
+    while "  " in out:
+        out = out.replace("  ", " ")
+    return out.strip(" ")
 
 
 def replace_emoticons(text: str, lexicon: EmoticonLexicon) -> str:
@@ -312,10 +334,14 @@ def write_csv(path, header, rows) -> None:
     """Write a header row, then rows, as UTF-8 CSV with standard quoting.
 
     Every CSV artifact is written here, so all of them share one dialect:
-    no byte-order mark and a bare "\\n" after every row.
+    no byte-order mark and a bare "\\n" after every row. A field that holds
+    "\\r" or "\\n" is quoted, so that a reader splits no row inside it.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        # A writer quotes the fields that hold a character of its line
+        # terminator; rows it ends with "\r\n" are written ending in "\n".
+        rows_out = SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
+        writer = csv.writer(rows_out, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
 

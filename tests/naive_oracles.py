@@ -6,9 +6,10 @@ Python loops; the others are the package's earlier numpy kernels (einsum
 convolution, argmax pooling, put_along_axis pool routing, np.add.at
 scatter, one-hot loss and logit gradient), its earlier forward and
 backward passes (which do call the package's layer functions) and its
-earlier text stages (a whitespace collapse by regex and an emoticon scan
-that walks every grapheme cluster in Python), kept to pin the fast paths
-that replaced them.
+earlier text stages (cleaning by regex substitutions, with whitespace
+collapsed by regex or by str.split; an emoticon scan that walks every
+grapheme cluster in Python; and one that makes a regex match per token),
+kept to pin the fast paths that replaced them.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ _BASIC_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789' ")
 _URL_RE = regex.compile(r"(?<!\S)https?://\S+")
 _MENTION_RE = regex.compile(r"(?<!\S)@\S+")
 _PUNCT_RE = regex.compile(r"(?!(?<=[^\W_])'(?=[^\W_]))[!-/:-@\[-`{-~]")
+_UNEXTENDED = r"(?![\p{GCB=Extend}\p{GCB=ZWJ}\p{GCB=SpacingMark}])"
 
 
 def naive_conv1d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -278,3 +280,54 @@ def regex_whitespace_clean(raw: str) -> str:
     text = _MENTION_RE.sub(" ", text)
     text = _PUNCT_RE.sub(" ", text)
     return _WS_RE.sub(" ", text).strip()
+
+
+def match_per_token_scan(text: str, entries: dict[str, str], replace: bool) -> str:
+    """Emoticon replacement (or deletion) by one regex match per token.
+
+    A token is a run of the characters cleaning keeps, none of which
+    begins a key and which no mark extends, or else one grapheme cluster.
+    A run survives whole. At a cluster the longest key, counted in
+    clusters, wins, and the scan resumes where that key ends, which may
+    be inside a run; a cluster no key covers survives only if it is one
+    of the characters cleaning keeps. entries maps each key to its
+    already normalised phrase, as an EmoticonLexicon does.
+    """
+    max_len = max((len(_GRAPHEME_RE.findall(emoji)) for emoji in entries), default=0)
+    run_chars = _BASIC_CHARS.difference(emoji[:1] for emoji in entries)
+    runs = "".join(map(regex.escape, sorted(run_chars)))
+    token_at = regex.compile(rf"([{runs}]+){_UNEXTENDED}|\X" if runs else r"\X").match
+    parts: list[str] = []
+    pos = 0
+    end = len(text)
+    while pos < end:
+        start = pos
+        token = token_at(text, pos)
+        pos = token.end()
+        if token.lastindex:
+            parts.append(token[1])
+            continue
+        ends = [pos]
+        while len(ends) < max_len and ends[-1] < end:
+            ends.append(_GRAPHEME_RE.match(text, ends[-1]).end())
+        for stop in reversed(ends):
+            phrase = entries.get(text[start:stop])
+            if phrase is not None:
+                parts.append(f" {phrase} " if replace else " ")
+                pos = stop
+                break
+        else:
+            parts.append(token[0] if token[0] in _BASIC_CHARS else " ")
+    return " ".join(filter(None, "".join(parts).split(" ")))
+
+
+def punct_regex_clean(raw: str) -> str:
+    """Microblog cleaning by three regex substitutions: URL and mention
+    tokens, then every ASCII punctuation character but an apostrophe
+    between letters or digits, each become a space; str.split then
+    collapses whitespace."""
+    text = raw.lower()
+    text = _URL_RE.sub(" ", text)
+    text = _MENTION_RE.sub(" ", text)
+    text = _PUNCT_RE.sub(" ", text)
+    return " ".join(text.split())

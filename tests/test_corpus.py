@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import collections
+import string
 from collections.abc import Mapping, MutableMapping
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from naive_oracles import cluster_walk_scan, regex_whitespace_clean
+from naive_oracles import (cluster_walk_scan, match_per_token_scan, punct_regex_clean,
+                           regex_whitespace_clean)
 
 from emoticnn.corpus import (
     CATEGORY_CODES,
@@ -84,6 +86,23 @@ def test_clean_removes_ascii_punctuation_except_apostrophe(text):
     cleaned = clean(text)
     banned = set("!\"#$%&()*+,-./:;<=>?@[\\]^_`{|}~")
     assert not banned & set(cleaned)
+
+
+# Apostrophes beside letters, digits, '_', a non-ASCII letter and emoji;
+# every printable ASCII character; a lone surrogate; the information
+# separators U+001C-U+001F; and URL and mention tokens.
+_CLEAN_PIECES = [
+    *string.printable, "'", "a'b", "1'2", "_'_", "a'_", "'\u00e9", "\u00e9'", "\u00c9'S",
+    f"{SMILING}'", f"'{SMILING}", "\ud800", "\x1c", "\x1d", "\x1e", "\x1f",
+    "http://x.co/a", "https://t.co/b", "HTTP://Y", "http", "@user", "a@b", " @ ", "@",
+]
+
+
+@settings(max_examples=600)
+@given(st.lists(st.sampled_from(_CLEAN_PIECES), max_size=30).map("".join) | st.text(max_size=60))
+@example("can't 'quoted' l'\u00e9t\u00e9 _'x x'_ 3'4 \ud800'a @me http://a.b/'c")
+def test_clean_matches_the_punctuation_regex_oracle(text):
+    assert clean(text) == punct_regex_clean(text)
 
 
 # ------------------------------------------------------------- lexicon
@@ -245,6 +264,35 @@ def test_replace_and_strip_match_the_cluster_walk(text, lexicon):
         )
 
 
+# Keys of two clusters (two smiling faces), of a basic first character
+# ("xd"), of basic later characters ("<3", which can end inside a run of
+# basic characters), a flag and a VS16 form; text of the pieces that
+# begin or extend them, with combining marks, ZWJ, skin tones, Prepend
+# (U+0600) and SpacingMark (U+0903) characters.
+_SCAN_LEXICONS = [
+    EmoticonLexicon({SMILING * 2: "two smiles", "xd": "laughing", "<3": "heart",
+                     "\U0001F1EB\U0001F1F7": "flag", SPEECH: "speech"}),
+    EmoticonLexicon({"xd": "laughing", "<3": "heart"}),
+    EmoticonLexicon({SMILING * 2: "two smiles", SMILING: "smile"}),
+]
+_SCAN_PIECES = [
+    "x", "d", "<", "3", "a", " ", "xd", "<3", "xd3", "<3d", SMILING, "\U0001F1EB", "\U0001F1F7",
+    "\U0001F5E8", "\ufe0f", "\u0301", "\u200d", "\U0001F3FD", "\u0600", "\u0903", "\U0001F468",
+]
+
+
+@settings(max_examples=600)
+@given(st.tuples(st.lists(st.sampled_from(_SCAN_PIECES), max_size=30).map("".join),
+                 st.sampled_from(_SCAN_LEXICONS))
+       | st.tuples(_TEXTS, _LEXICONS))
+@example(("<3dd xdxd\u0301 <3\u0903 \u0600xd", _SCAN_LEXICONS[0]))
+def test_replace_and_strip_match_the_match_per_token_scan(case):
+    text, lexicon = case
+    for candidate in (text, clean(text)):
+        for replace, scan in ((True, replace_emoticons), (False, strip_emoticons)):
+            assert scan(candidate, lexicon) == match_per_token_scan(candidate, dict(lexicon), replace)
+
+
 @settings(max_examples=300)
 @given(st.lists(st.sampled_from([*_PIECES, "@u", "https://t.co/x", "x\x1c@u"]), max_size=40).map("".join))
 @example("a\x1cb \x1d\x1e\x1f c\x1f" + SMILING)
@@ -281,9 +329,9 @@ def test_dataset_round_trip(tmp_path):
 
 def test_write_csv_bytes(tmp_path):
     path = tmp_path / "out.csv"
-    write_csv(path, ["a", "b"], [["x,y", 'say "hi"'], ["two\nlines", 2.5], [SMILING, ""]])
+    write_csv(path, ["a", "b"], [["x,y", 'say "hi"'], ["two\nlines", 2.5], [SMILING, ""], ["a\rb", 1]])
     assert path.read_bytes() == (
-        'a,b\n"x,y","say ""hi"""\n"two\nlines",2.5\n' + SMILING + ",\n"
+        'a,b\n"x,y","say ""hi"""\n"two\nlines",2.5\n' + SMILING + ',\n"a\rb",1\n'
     ).encode("utf-8")
 
 
@@ -339,6 +387,31 @@ def test_tweet_label_validated():
     with pytest.raises(CorpusError, match="label must be an integer, got 2.0"):
         Tweet("yo", 2.0)
     assert Tweet("x", np.int64(2)).label == 2
+
+
+@pytest.mark.parametrize("text", [None, 123, b"hi", 2.5, ["hi"]])
+def test_tweet_text_must_be_a_string(text):
+    with pytest.raises(CorpusError, match="text must be a string"):
+        Tweet(text, 1)
+
+
+# st.text() draws no lone surrogate. Tweet takes one, and save_dataset
+# then raises UnicodeEncodeError (CHANGES.md, FOUND).
+tweet_texts = st.text() | st.none() | st.integers() | st.binary(max_size=4) | st.floats()
+
+
+@settings(max_examples=200, deadline=None)
+@given(tweet_texts)
+@example("")
+@example("x\ry")
+def test_every_text_a_tweet_accepts_survives_a_dataset_round_trip(tmp_path_factory, text):
+    try:
+        tweet = Tweet(text, 1)
+    except CorpusError:
+        return
+    path = tmp_path_factory.mktemp("round_trip") / "data.csv"
+    save_dataset([tweet], path)
+    assert load_dataset(path) == [tweet]
 
 
 integer_codes = st.integers(1, 4)

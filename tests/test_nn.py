@@ -886,15 +886,16 @@ def test_forward_peak_memory_is_no_higher_than_the_oracles():
 
 
 def test_predict_codes_frees_each_chunks_cache_before_the_next_forward():
-    """L=64, three chunks: predict_codes holds at most one 256-row forward
+    """L=64, three chunks: predict_codes holds at most one chunk's forward
     and its cache at once, plus its output arrays. A loop that kept the last
     chunk's cache while the next forward ran would hold two."""
     model = init_model(ModelConfig(vocab_size=107, L=64), 0)
-    ids = np.random.default_rng(0).integers(0, 107, size=(2 * train._EVAL_BATCH + 1, 64))
-    forward = _traced_peak(Model.forward, model, ids[: train._EVAL_BATCH])
+    rows = train._eval_chunk_rows(model.config)
+    ids = np.random.default_rng(0).integers(0, 107, size=(2 * rows + 1, 64))
+    forward = _traced_peak(Model.forward, model, ids[:rows])
     predict = _traced_peak(train.predict_codes, model, ids)
     # The predictions, and one chunk's float64 probabilities.
-    outputs = ids.shape[0] * 8 + train._EVAL_BATCH * model.config.classes * 8
+    outputs = ids.shape[0] * 8 + rows * model.config.classes * 8
     assert predict <= forward + outputs, (predict, forward)
 
 
