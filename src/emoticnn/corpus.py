@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import numbers
 import random
@@ -31,7 +32,6 @@ import string
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 
 import regex
 
@@ -337,13 +337,17 @@ def write_csv(path, header, rows) -> None:
     no byte-order mark and a bare "\\n" after every row. A field that holds
     "\\r" or "\\n" is quoted, so that a reader splits no row inside it.
     """
+    # A writer quotes the fields that hold a character of its line
+    # terminator, so each row is formatted ending in "\r\n" and written
+    # ending in "\n".
+    line = io.StringIO()
+    writer = csv.writer(line, lineterminator="\r\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        # A writer quotes the fields that hold a character of its line
-        # terminator; rows it ends with "\r\n" are written ending in "\n".
-        rows_out = SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
-        writer = csv.writer(rows_out, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in itertools.chain([header], rows):
+            line.seek(0)
+            line.truncate()
+            writer.writerow(row)
+            fh.write(line.getvalue()[:-2] + "\n")
 
 
 def save_dataset(tweets, path) -> None:

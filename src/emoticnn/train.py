@@ -36,9 +36,7 @@ __all__ = [
     "train_model",
 ]
 
-# An inference chunk takes the most rows whose conv1 output fits in this
-# many bytes: 128 rows at L=18 and 33 at L=64 in float64.
-_EVAL_CHUNK_BYTES = 1 << 20
+_EVAL_BATCH = 128
 
 
 class TrainingDiverged(RuntimeError):
@@ -165,16 +163,10 @@ def encode_texts(texts, labels, vocab: Vocabulary, length: int) -> tuple[np.ndar
     return ids, check_codes(labels, len(CATEGORY_CODES), (len(rows),)).astype(np.int64, copy=False)
 
 
-def _eval_chunk_rows(config) -> int:
-    """Rows per inference chunk; conv1's output is (rows, L - kernel + 1, conv1_filters)."""
-    row_bytes = (config.L - config.kernel + 1) * config.conv1_filters * np.dtype(config.dtype).itemsize
-    return max(1, _EVAL_CHUNK_BYTES // row_bytes)
-
-
 def predict_codes(model: Model, ids: np.ndarray) -> np.ndarray:
     """Predicted category codes (argmax of softmax; ties take the lowest code).
 
-    Rows run in chunks of _eval_chunk_rows. Only the codes are promised: BLAS
+    Rows run in chunks of _EVAL_BATCH. Only the codes are promised: BLAS
     may round a row by the number of rows in its product, so the last bits of
     the probabilities can depend on the chunking.
     """
@@ -182,9 +174,8 @@ def predict_codes(model: Model, ids: np.ndarray) -> np.ndarray:
     if ids.ndim == 1:
         ids = ids[None, :]
     preds = np.empty(ids.shape[0], dtype=np.int64)
-    step = _eval_chunk_rows(model.config)
-    for start in range(0, ids.shape[0], step):
-        chunk = ids[start : start + step]
+    for start in range(0, ids.shape[0], _EVAL_BATCH):
+        chunk = ids[start : start + _EVAL_BATCH]
         # [0] drops the chunk's cache before the next chunk's forward runs.
         preds[start : start + chunk.shape[0]] = model.forward(chunk)[0].argmax(axis=-1) + 1
     return preds

@@ -890,12 +890,11 @@ def test_predict_codes_frees_each_chunks_cache_before_the_next_forward():
     and its cache at once, plus its output arrays. A loop that kept the last
     chunk's cache while the next forward ran would hold two."""
     model = init_model(ModelConfig(vocab_size=107, L=64), 0)
-    rows = train._eval_chunk_rows(model.config)
-    ids = np.random.default_rng(0).integers(0, 107, size=(2 * rows + 1, 64))
-    forward = _traced_peak(Model.forward, model, ids[:rows])
+    ids = np.random.default_rng(0).integers(0, 107, size=(2 * train._EVAL_BATCH + 1, 64))
+    forward = _traced_peak(Model.forward, model, ids[: train._EVAL_BATCH])
     predict = _traced_peak(train.predict_codes, model, ids)
     # The predictions, and one chunk's float64 probabilities.
-    outputs = ids.shape[0] * 8 + rows * model.config.classes * 8
+    outputs = ids.shape[0] * 8 + train._EVAL_BATCH * model.config.classes * 8
     assert predict <= forward + outputs, (predict, forward)
 
 

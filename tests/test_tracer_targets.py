@@ -96,8 +96,7 @@ def test_every_eval_chunk_gets_its_own_layer_spans():
     nn.forward span, so every chunk of predict_codes must enter through
     Model.forward and pool through nn.maxpool1d."""
     model = nn.init_model(nn.ModelConfig(vocab_size=12, L=10), seed=0)
-    rows = train._eval_chunk_rows(model.config)
-    ids = np.random.default_rng(0).integers(0, 12, size=(2 * rows + 1, 10))
+    ids = np.random.default_rng(0).integers(0, 12, size=(2 * train._EVAL_BATCH + 1, 10))
     tracer = SPANS.Tracer()
     tracer.install()
     try:

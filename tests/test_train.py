@@ -230,21 +230,12 @@ def test_predict_codes_of_no_rows_is_empty():
     assert preds.shape == (0,) and preds.dtype == np.int64
 
 
-def test_eval_chunk_rows_fit_conv1s_output_in_the_budget():
-    """128 rows at L=18 and 33 at L=64 in float64; twice as many in float32."""
-    rows = {(L, precision): train_module._eval_chunk_rows(ModelConfig(vocab_size=10, L=L, precision=precision))
-            for L in (18, 64) for precision in ("float64", "float32")}
-    assert rows == {(18, "float64"): 128, (18, "float32"): 256, (64, "float64"): 33, (64, "float32"): 66}
-    huge = ModelConfig(vocab_size=10, L=10**6)
-    assert train_module._eval_chunk_rows(huge) == 1
-
-
 @pytest.mark.parametrize("extra", [0, 1, 2])
 @pytest.mark.parametrize("length", [18, 64])
 def test_predict_codes_equals_the_argmax_of_one_whole_batch_forward(length, extra):
     """Two full chunks plus 0, 1 or 2 rows."""
     model = init_model(ModelConfig(vocab_size=107, L=length), 0)
-    n = 2 * train_module._eval_chunk_rows(model.config) + extra
+    n = 2 * train_module._EVAL_BATCH + extra
     ids = np.random.default_rng(extra).integers(0, 107, size=(n, length))
     expected = model.forward(ids)[0].argmax(axis=-1) + 1
     np.testing.assert_array_equal(predict_codes(model, ids), expected)
@@ -252,10 +243,17 @@ def test_predict_codes_equals_the_argmax_of_one_whole_batch_forward(length, extr
 
 @pytest.mark.parametrize("precision", ["float64", "float32"])
 def test_probabilities_at_L18_are_the_same_bits_in_every_chunk_of_two_rows_or_more(precision):
-    """At L=18, so in every chunking predict_codes could pick, a row's
-    probabilities do not depend on the rows it shares a forward with."""
+    """At L=18 a row's probabilities do not depend on the rows it shares a
+    forward with, in any chunk of two rows or more.
+
+    This pins how the BLAS rounds, not a promise of this package: it holds
+    on OpenBLAS 0.3.31 with one thread. Another BLAS build or thread count
+    may round a row by the row count of its product (as OpenBLAS does at
+    L=64, and for one row by gemv), and then this test fails on a change
+    of platform, not of code.
+    """
     model = init_model(ModelConfig(vocab_size=107, L=18, precision=precision), 0)
-    n = train_module._eval_chunk_rows(model.config) + 4
+    n = train_module._EVAL_BATCH + 4
     ids = np.random.default_rng(0).integers(0, 107, size=(n, 18))
     whole = model.forward(ids)[0]
     for start in (0, 3):
@@ -263,9 +261,10 @@ def test_probabilities_at_L18_are_the_same_bits_in_every_chunk_of_two_rows_or_mo
             assert np.array_equal(model.forward(ids[start:stop])[0], whole[start:stop]), (start, stop)
 
 
-def test_predict_codes_peak_memory_stays_under_four_chunk_budgets():
-    """2000 rows at L=64: conv1's output is 31.7 kB a row, so 256-row
-    chunks held 17.1 MB at once; 33-row chunks hold about 2.6 MB."""
+def test_predict_codes_peak_memory_at_L64_stays_under_10_mb():
+    """2000 rows at L=64: conv1's output is 62 x 64 x 8 B = 31.7 kB a row,
+    and a forward holds about twice its chunk's conv1 output at its peak.
+    256-row chunks read 17.1 MB; 128-row chunks read about 8.8 MB."""
     model = init_model(ModelConfig(vocab_size=107, L=64), 0)
     ids = np.random.default_rng(0).integers(0, 107, size=(2000, 64))
     tracemalloc.start()
@@ -274,7 +273,7 @@ def test_predict_codes_peak_memory_stays_under_four_chunk_budgets():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * train_module._EVAL_CHUNK_BYTES, peak
+    assert peak < 10_000_000, peak
 
 
 # ------------------------------------------------------ encode_dataset
