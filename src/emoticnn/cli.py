@@ -64,7 +64,10 @@ class RunSettings(TrainConfig):
 
 
 def _synth_count(value: str) -> int:
-    count = int(value)
+    try:
+        count = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
     if count < 4:
         raise argparse.ArgumentTypeError(f"need at least 4 tweets, got {count}")
     return count

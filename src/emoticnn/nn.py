@@ -4,8 +4,8 @@ Every tensor operation, every gradient, and the RMSProp update rule are
 written directly against numpy so the arithmetic is fully inspectable and
 each backward pass can be validated with central finite differences. The
 layer stack is fixed and written down once, in LAYERS: the config's
-shapes, the parameter list, the forward pass and the backward pass all
-walk that table.
+shapes, the parameter list and both passes walk that table, the passes
+taking its first two rows, the embedding and conv1, as one step (the fold).
 """
 
 from __future__ import annotations
@@ -367,10 +367,10 @@ class Model:
         forward(ids)[0], so the cache goes when the call returns. Each pool
         is maxpool1d's winners=False mode, exact under the relu after it.
 
-        conv1 projects each distinct id's embedding row once instead of
-        every position's, to the same bits as the per-position convolution
-        (_conv1d_of_rows says when). cache.embedded reads as the (batch, L,
-        embed_dim) embedded batch.
+        The first step is the fold: conv1 projects each distinct id's
+        embedding row once instead of every position's, to the same bits as
+        the per-position convolution (_conv1d_of_rows says when).
+        cache.embedded reads as the (batch, L, embed_dim) embedded batch.
         """
         cfg = self.config
         ids = np.asarray(ids)
@@ -379,24 +379,22 @@ class Model:
         if ids.ndim != 2 or ids.shape[1] != cfg.L or not len(ids):
             raise ValueError(f"expected ids of shape (batch, {cfg.L}) with batch >= 1, "
                              f"got {ids.shape}")
-        params, x, outputs = self.params, ids, {}
-        for layer, shape in zip(LAYERS, cfg.shape_chain()):
+        params, (embed, conv1), shapes = self.params, LAYERS[:2], cfg.shape_chain()
+        # The fold: the embedding and conv1 as one step on the batch's distinct ids.
+        # cache.embedded places the rows at their positions when first read.
+        embedding = params[embed.params[0]]
+        distinct = _distinct(ids)
+        rows = embedding_forward(distinct, embedding)
+        lookup = np.empty(len(embedding), dtype=np.intp)
+        lookup[distinct] = np.arange(distinct.size)
+        inverse = lookup[ids]
+        x = _conv1d_of_rows(rows, inverse, *(params[name] for name in conv1.params))
+        assert x.shape[1:] == shapes[1], (conv1.name, x.shape)
+        outputs = {"distinct": distinct, "rows": rows, "inverse": inverse, conv1.name: x}
+        for layer, shape in zip(LAYERS[2:], shapes[2:]):
             weights = [params[name] for name in layer.params]
-            if layer.kind == "embed":
-                # conv1 projects each distinct id's row once, so x stays the ids;
-                # cache.embedded places the rows at their positions when first read.
-                distinct = _distinct(ids)
-                rows = embedding_forward(distinct, *weights)
-                lookup = np.empty(len(weights[0]), dtype=np.intp)
-                lookup[distinct] = np.arange(distinct.size)
-                inverse = lookup[ids]
-                outputs.update(distinct=distinct, rows=rows, inverse=inverse)
-                continue
-            elif layer.kind == "conv":
-                if x is ids:
-                    x = _conv1d_of_rows(rows, inverse, *weights)
-                else:
-                    x = conv1d_forward(x, *weights)
+            if layer.kind == "conv":
+                x = conv1d_forward(x, *weights)
             elif layer.kind == "pool_relu":
                 x, _ = maxpool1d(x, winners=False)
             elif layer.kind == "flatten":
@@ -503,21 +501,14 @@ def model_backward(cache: ForwardCache, labels) -> dict[str, np.ndarray]:
     dout[np.arange(labels.size), labels - 1] -= 1
     dout /= probs.shape[0]
     grads: dict[str, np.ndarray] = {}
-    # The embed layer's output is the distinct rows; cache.embedded stays unplaced.
-    outputs = [cache.ids, cache.rows, *(getattr(cache, layer.name) for layer in LAYERS[1:])]
-    for layer, x, out in reversed(list(zip(LAYERS, outputs, outputs[1:]))):
+    outputs = [getattr(cache, layer.name) for layer in LAYERS[1:]]
+    for layer, x, out in reversed(list(zip(LAYERS[2:], outputs, outputs[1:]))):
         weight = model.params[layer.params[0]] if layer.params else None
         # A relu output is positive exactly where its input was; a pool routes the masked dout.
         if layer.kind.endswith("_relu"):
             dout = dout * (out > 0)
         dparams = ()
-        if layer.kind == "embed":
-            dembedding = np.zeros_like(weight)
-            dembedding[cache.distinct] = dout
-            dparams = (dembedding,)
-        elif layer.kind == "conv" and x is cache.rows:
-            dout, *dparams = _conv1d_of_rows_backward(x, cache.inverse, weight, dout)
-        elif layer.kind == "conv":
+        if layer.kind == "conv":
             dout, *dparams = conv1d_backward(x, weight, dout)
         elif layer.kind == "pool_relu":
             dout = maxpool1d_backward(dout, x)
@@ -526,6 +517,13 @@ def model_backward(cache: ForwardCache, labels) -> dict[str, np.ndarray]:
         else:
             dout, *dparams = dense_backward(x, weight, dout)
         grads.update(zip(layer.params, dparams))
+    # The last step is the fold's: conv1 through the distinct rows, then the embedding.
+    embed, conv1 = LAYERS[:2]
+    drows, *dparams = _conv1d_of_rows_backward(
+        cache.rows, cache.inverse, model.params[conv1.params[0]], dout)
+    grads.update(zip(conv1.params, dparams))
+    dembedding = grads[embed.params[0]] = np.zeros_like(model.params[embed.params[0]])
+    dembedding[cache.distinct] = drows
     return {name: grads[name] for name in PARAM_NAMES}
 
 

@@ -141,6 +141,12 @@ def load_model(model_dir) -> tuple[Model, Vocabulary, EmoticonLexicon, TrainConf
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistError(f"invalid manifest: {exc}") from exc
 
+    positions: dict[str, int] = {}
+    for index, word in enumerate(words):
+        first = positions.setdefault(word, index)
+        if first != index:
+            raise PersistError(f"invalid manifest: vocabulary[{first}] and "
+                               f"vocabulary[{index}] are both {word!r}")
     vocab = Vocabulary.from_words(words)
     if vocab.size != model_cfg.vocab_size:
         raise PersistError(

@@ -215,7 +215,8 @@ def train_model(
     """Run the full training loop, mutating and returning the model.
 
     Expects (ids, labels) pairs already encoded and padded to the
-    model's length L, with ids below its vocab_size. Each epoch
+    model's length L, with ids below its vocab_size and labels the
+    category codes 1-4; both sets are checked before any step. Each epoch
     reshuffles the training set with a seed of cfg.seed XOR the 1-based
     epoch number, so runs are reproducible yet batches vary by epoch.
     Raises TrainingDiverged if a batch loss stops being finite, naming
@@ -225,12 +226,19 @@ def train_model(
     """
     train_ids, train_labels = np.asarray(train_set[0]), np.asarray(train_set[1])
     test_ids, test_labels = np.asarray(test_set[0]), np.asarray(test_set[1])
-    length = model.config.L
-    for name, ids in (("train", train_ids), ("test", test_ids)):
+    length, vocab_size = model.config.L, model.config.vocab_size
+    for name, ids, labels in (("train", train_ids, train_labels), ("test", test_ids, test_labels)):
         if ids.ndim != 2 or ids.shape[1] != length:
             raise ValueError(f"{name} ids must have shape (n, {length}), got {ids.shape}")
         if not len(ids):
             raise ValueError(f"{name} set is empty")
+        if ids.min() < 0 or ids.max() >= vocab_size:
+            raise ValueError(f"{name} sequence ids must lie in [0, {vocab_size}), "
+                             f"got range [{ids.min()}, {ids.max()}]")
+        try:
+            check_codes(labels, len(CATEGORY_CODES), (len(ids),))
+        except ValueError as exc:
+            raise ValueError(f"{name} {exc}") from None
 
     n = train_ids.shape[0]
     state = RmsPropState(lr=cfg.lr, rho=cfg.rho, epsilon=cfg.epsilon)

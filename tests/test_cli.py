@@ -72,6 +72,17 @@ def test_synth_rejects_tiny_counts(tmp_path):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["synth", "--n", "abc", "--out", "x.csv"],
+                                  ["synth", "--n", "40", "--seed", "abc", "--out", "x.csv"]])
+def test_synth_names_a_non_integer_count_as_int(argv, capsys):
+    """--n reads its value as every other integer flag does, with the same message."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(argv)
+    assert excinfo.value.code == 2
+    flag = argv[argv.index("abc") - 1]
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: invalid int value: 'abc'\n")
+
+
 def test_synth_text_signal_has_no_emoji(tmp_path):
     path = tmp_path / "plain.csv"
     assert cli_main(["synth", "--n", "40", "--seed", "0", "--out", str(path), "--text-signal"]) == 0

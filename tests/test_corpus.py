@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import re
 import string
 from collections.abc import Mapping, MutableMapping
 
@@ -360,6 +361,14 @@ def test_load_dataset_reports_malformed_row_number(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("text,label\nok,1\nbad,notanint\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="row 3"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("row", ["no comma", "one,two,3"], ids=["1 field", "3 fields"])
+def test_load_dataset_rejects_a_row_without_two_fields(tmp_path, row):
+    path = tmp_path / "data.csv"
+    path.write_text(f"text,label\nok,1\n{row}\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=re.escape(f"malformed row at row 3: {row.split(',')!r}")):
         load_dataset(path)
 
 

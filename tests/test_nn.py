@@ -751,6 +751,13 @@ def test_config_shape_chain(length, chain):
     assert list(ModelConfig(vocab_size=10, L=length).shape_chain()) == chain
 
 
+@pytest.mark.parametrize("name", ["embed_dim", "conv1_filters", "conv2_filters", "dense_hidden", "kernel"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_a_layer_width_or_kernel_below_one(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
+        ModelConfig(vocab_size=10, L=10, **{name: value})
+
+
 def test_config_rejects_tiny_vocab():
     with pytest.raises(ValueError, match="vocab_size"):
         ModelConfig(vocab_size=1, L=10)

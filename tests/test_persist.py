@@ -190,6 +190,22 @@ def test_vocab_size_mismatch_rejected(tmp_path):
         load_model(target)
 
 
+@pytest.mark.parametrize("append", [False, True], ids=["same length", "word appended"])
+def test_repeated_vocabulary_word_rejected(tmp_path, append):
+    """A repeated word would take the later index, and the word it replaced would read as
+    OOV; with one word appended the vocabulary size even matches the model's."""
+    target, *_ = saved_dir(tmp_path)
+
+    def repeat(data):
+        data["vocabulary"][5] = "word2"
+        data["vocabulary"] += ["extra"] * append
+
+    edit_manifest(target, repeat)
+    message = "invalid manifest: vocabulary[2] and vocabulary[5] are both 'word2'"
+    with pytest.raises(PersistError, match=re.escape(message)):
+        load_model(target)
+
+
 def total_bytes(model_dir) -> int:
     return (model_dir / WEIGHTS_NAME).stat().st_size
 

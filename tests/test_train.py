@@ -153,6 +153,10 @@ def test_confusion_matrix_rejects_bad_input():
         confusion_matrix(np.array([1]), np.array([5]))
     with pytest.raises(ValueError):
         ConfusionMatrix(np.zeros((3, 4), dtype=np.int64))
+    counts = np.eye(4, dtype=np.int64)
+    counts[2, 1] = -1
+    with pytest.raises(ValueError, match="^counts must be non-negative$"):
+        ConfusionMatrix(counts)
 
 
 def _matrix_from_named_rows(rows: dict[str, dict[str, int]]) -> ConfusionMatrix:
@@ -228,6 +232,16 @@ def test_predict_codes_of_no_rows_is_empty():
     model = init_model(ModelConfig(vocab_size=10, L=10), 0)
     preds = predict_codes(model, np.zeros((0, 10), dtype=np.int64))
     assert preds.shape == (0,) and preds.dtype == np.int64
+
+
+def test_predict_codes_of_one_row_equals_its_code_as_a_batch_of_one():
+    model = init_model(ModelConfig(vocab_size=107, L=18), 0)
+    ids = np.random.default_rng(3).integers(0, 107, size=(5, 18))
+    for row in ids:
+        codes = predict_codes(model, row)
+        assert codes.shape == (1,)
+        np.testing.assert_array_equal(codes, predict_codes(model, row[None, :]))
+        np.testing.assert_array_equal(codes, model.forward(row[None, :])[0].argmax(axis=-1) + 1)
 
 
 @pytest.mark.parametrize("extra", [0, 1, 2])
@@ -471,6 +485,40 @@ def test_train_model_rejects_an_empty_set_before_any_step(empty):
     sets = {"train": data, "test": data, empty: (data[0][:0], data[1][:0])}
     cfg = TrainConfig(batch_size=8, epochs=1)
     with pytest.raises(ValueError, match=f"^{empty} set is empty$"):
+        train_model(model, sets["train"], sets["test"], cfg)
+    assert model._version == 0
+    for name, param in model.params.items():
+        assert np.array_equal(param, before[name]), name
+
+
+def _bad_entry_in_a_later_batch(bad_set, entry):
+    """Put one bad id or label code in the given set where a batch of 8 reaches it only
+    after some RMSProp steps (the train set's 6th batch), or only after a whole epoch
+    (the test set)."""
+    model = init_model(ModelConfig(vocab_size=10, L=10), 0)
+    before = {name: param.copy() for name, param in model.params.items()}
+    cfg = TrainConfig(batch_size=8, epochs=1)
+    data = toy_dataset(n=64)
+    ids, labels = data[0].copy(), data[1].copy()
+    row = np.random.default_rng(cfg.seed ^ 1).permutation(64)[5 * 8] if bad_set == "train" else 63
+    if entry == "id":
+        ids[row, 4] = 10
+    else:
+        labels[row] = 5
+    sets = {"train": data, "test": data, bad_set: (ids, labels)}
+    return model, before, sets, cfg
+
+
+@pytest.mark.parametrize("bad_set", ["train", "test"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [("id", r"sequence ids must lie in \[0, 10\), got range \[0, 10\]$"),
+     ("label", r"labels must lie in \[1, 4\], got range \[1, 5\]$")],
+    ids=["id", "label"],
+)
+def test_train_model_rejects_a_bad_id_or_label_before_any_step(bad_set, entry, message):
+    model, before, sets, cfg = _bad_entry_in_a_later_batch(bad_set, entry)
+    with pytest.raises(ValueError, match=f"^{bad_set} {message}"):
         train_model(model, sets["train"], sets["test"], cfg)
     assert model._version == 0
     for name, param in model.params.items():
